@@ -6,8 +6,8 @@
     cnalab report --runs GLOB [--out DIR]
     cnalab metrics --checkpoint F --data SPEC
 
-Exit codes: 0 ok, 2 config parse error, 3 data/format error, 4 numeric
-failure.
+Exit codes: 0 ok, 2 config parse error, 3 data/format/shape error,
+4 numeric failure or undefined correlation.
 """
 
 import argparse
@@ -16,7 +16,7 @@ import sys
 
 from .config import load_config
 from .errors import (ConfigError, ConvergenceError, DataError, FormatError,
-                     NumericError)
+                     NumericError, ShapeError, UndefinedCorrelationError)
 
 
 def cmd_train(args):
@@ -118,10 +118,10 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, FormatError, FileNotFoundError) as exc:
+    except (DataError, FormatError, ShapeError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (NumericError, ConvergenceError) as exc:
+    except (NumericError, ConvergenceError, UndefinedCorrelationError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
 

@@ -16,6 +16,7 @@ cyclic permutation within the chosen subset, preserving the label
 multiset. Test labels are never corrupted.
 """
 
+import functools
 import struct
 from dataclasses import dataclass, field
 
@@ -223,16 +224,44 @@ _GRID = np.stack(np.meshgrid((np.arange(_SIZE) + 0.5) / _SIZE,
                              indexing="xy"), axis=-1).reshape(-1, 2)
 
 
-def _render_strokes(segments, thickness, aa=0.02):
-    """Max-over-segments soft ink from distance to each segment."""
-    p = segments[:, 0][None, :, :]
-    q = segments[:, 1][None, :, :]
+def _strokes_ink(strokes, m, aa=0.02):
+    """Soft ink of m images: per pixel, the max over the image's segments of
+    clip((thickness - distance to segment) / aa, 0, 1).
+
+    strokes lists (image, warped segments, thickness). The expression is
+    only evaluated on (segment, pixel) pairs whose pixel centre lies in the
+    segment's bounding box widened by thickness + 1/28; outside it the
+    distance exceeds the thickness and the ink is exactly 0. The operations
+    on each pair are the dense per-pixel ones in the same order, so the
+    result is bit-identical to evaluating every pixel.
+    """
+    image, segs, thickness = zip(*strokes)
+    counts = [len(s) for s in segs]
+    image = np.repeat(image, counts)
+    thickness = np.repeat(thickness, counts)
+    segs = np.concatenate(segs)
+    p, q = segs[:, 0], segs[:, 1]
     d = q - p
-    len2 = np.maximum((d ** 2).sum(-1), 1e-12)
-    t = np.clip(((_GRID[:, None, :] - p) * d).sum(-1) / len2, 0.0, 1.0)
-    proj = p + t[..., None] * d
-    dist = np.sqrt(((_GRID[:, None, :] - proj) ** 2).sum(-1))
-    return np.clip((thickness - dist) / aa, 0.0, 1.0).max(axis=1)
+    len2 = np.maximum(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1], 1e-12)
+    # pixel c has its centre at (c + 0.5) / _SIZE; boxes err one pixel wide
+    reach = (thickness + 1.0 / _SIZE)[:, None]
+    first = np.clip(np.floor((np.minimum(p, q) - reach) * _SIZE - 0.5), 0, _SIZE).astype(np.intp)
+    last = np.clip(np.ceil((np.maximum(p, q) + reach) * _SIZE - 0.5), -1, _SIZE - 1).astype(np.intp)
+    extent = np.maximum(last - first + 1, 0)          # (columns, rows) per segment
+    area = extent[:, 0] * extent[:, 1]
+    seg = np.repeat(np.arange(len(segs)), area)
+    offset = np.arange(len(seg)) - np.repeat(np.cumsum(area) - area, area)
+    width = extent[seg, 0]
+    pixel = (first[seg, 1] + offset // width) * _SIZE + first[seg, 0] + offset % width
+    gx, gy = _GRID[pixel, 0], _GRID[pixel, 1]
+    px, py, dx, dy = p[seg, 0], p[seg, 1], d[seg, 0], d[seg, 1]
+    t = np.clip(((gx - px) * dx + (gy - py) * dy) / len2[seg], 0.0, 1.0)
+    ex = gx - (px + t * dx)
+    ey = gy - (py + t * dy)
+    value = np.clip((thickness[seg] - np.sqrt(ex * ex + ey * ey)) / aa, 0.0, 1.0)
+    ink = np.zeros((m, _SIZE * _SIZE))
+    np.maximum.at(ink.reshape(-1), image[seg] * (_SIZE * _SIZE) + pixel, value)
+    return ink
 
 
 def _warp(segments, rot, scale, shear, shift):
@@ -242,29 +271,64 @@ def _warp(segments, rot, scale, shear, shift):
     return centered @ mat.T + 0.5 + shift
 
 
+# Images per _strokes_ink call: bounds its per-pair temporaries to about 2 MB.
+_CHUNK = 16
+
+
 def _render_corpus(n, seed, stream, glyphs, default_thickness, source):
     rng = seeded_rng(seed, "data", counter=stream)
     labels = seeded_rng(seed, "labels", counter=stream).integers(0, 10, size=n)
     images = np.empty((n, 1, _SIZE, _SIZE))
-    for i in range(n):
-        hardness = rng.uniform()          # drives both warp strength and noise
-        rot = rng.uniform(-1, 1) * 0.45 * hardness
-        scale = 1.0 + rng.uniform(-1, 1) * 0.18 * hardness
-        shear = rng.uniform(-1, 1) * 0.35 * hardness
-        shift = rng.uniform(-0.07, 0.07, size=2)
-        sigma = 0.02 + 0.28 * hardness
-        ink = np.zeros(_SIZE * _SIZE)
-        for entry in glyphs[labels[i]]:
-            if isinstance(entry, tuple):
-                segs, thickness = entry
-            else:
-                segs, thickness = entry, default_thickness * rng.uniform(0.8, 1.25)
-            warped = _warp(segs, rot, scale, shear, shift)
-            ink = np.maximum(ink, _render_strokes(warped, thickness))
-        img = np.clip(ink + sigma * rng.standard_normal(_SIZE * _SIZE), 0.0, 1.0)
-        images[i, 0] = np.round(img.reshape(_SIZE, _SIZE) * 255.0) / 255.0
+    pixels = images.reshape(n, _SIZE * _SIZE)
+    sigma = np.empty(n)
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        strokes = []
+        for i in range(start, stop):
+            hardness = rng.uniform()          # drives both warp strength and noise
+            rot = rng.uniform(-1, 1) * 0.45 * hardness
+            scale = 1.0 + rng.uniform(-1, 1) * 0.18 * hardness
+            shear = rng.uniform(-1, 1) * 0.35 * hardness
+            shift = rng.uniform(-0.07, 0.07, size=2)
+            sigma[i] = 0.02 + 0.28 * hardness
+            for entry in glyphs[labels[i]]:
+                if isinstance(entry, tuple):
+                    segs, thickness = entry
+                else:
+                    segs, thickness = entry, default_thickness * rng.uniform(0.8, 1.25)
+                strokes.append((i - start, _warp(segs, rot, scale, shear, shift), thickness))
+            rng.standard_normal(out=pixels[i])      # the noise, drawn in place
+        chunk = pixels[start:stop]
+        chunk *= sigma[start:stop, None]
+        chunk += _strokes_ink(strokes, stop - start)
+        np.clip(chunk, 0.0, 1.0, out=chunk)
+        chunk *= 255.0
+        np.round(chunk, out=chunk)
+        chunk /= 255.0
     return LabeledDataset(images, labels, 10,
                           {"source": source, "seed": int(seed), "stream": int(stream)})
+
+
+_CORPORA = {"synthetic-digits": (_digit_strokes, 0.045),
+            "synthetic-shapes": (_shape_strokes, 0.07)}
+
+
+# A suite's cells differ only in training labels, so each corpus is rendered
+# once per process. Four entries hold a train and a test stream of two corpora.
+@functools.lru_cache(maxsize=4)
+def _cached_corpus(source, n, seed, stream):
+    strokes, thickness = _CORPORA[source]
+    ds = _render_corpus(n, seed, stream, strokes(), thickness, source)
+    ds.inputs.flags.writeable = False
+    ds.labels.flags.writeable = False
+    return ds
+
+
+def _synthetic(source, n, seed, stream):
+    if n < 1:
+        raise DataError(f"{source} needs n >= 1")
+    ds = _cached_corpus(source, int(n), int(seed), int(stream))
+    return LabeledDataset(ds.inputs, ds.labels, ds.classes, dict(ds.provenance))
 
 
 def synthetic_digits(n, seed, stream=0):
@@ -273,16 +337,14 @@ def synthetic_digits(n, seed, stream=0):
     Per-sample warp strength and pixel noise share one hardness draw, so
     higher-entropy samples are also the harder ones, as with natural
     handwriting. stream picks a disjoint sample stream for the same seed
-    (0 = train, 1 = test by convention).
+    (0 = train, 1 = test by convention). Corpora are memoised per process;
+    the returned arrays are read-only.
     """
-    if n < 1:
-        raise DataError("synthetic_digits needs n >= 1")
-    return _render_corpus(n, seed, stream, _digit_strokes(), 0.045, "synthetic-digits")
+    return _synthetic("synthetic-digits", n, seed, stream)
 
 
 def synthetic_shapes(n, seed, stream=0):
     """Deterministic 28x28 silhouette corpus (10 classes), bolder ink
-    coverage than synthetic_digits."""
-    if n < 1:
-        raise DataError("synthetic_shapes needs n >= 1")
-    return _render_corpus(n, seed, stream, _shape_strokes(), 0.07, "synthetic-shapes")
+    coverage than synthetic_digits. Memoised and read-only like
+    synthetic_digits."""
+    return _synthetic("synthetic-shapes", n, seed, stream)

@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, DataError and
-FormatError -> 3, NumericError and ConvergenceError -> 4.
+The CLI maps these onto exit codes: ConfigError -> 2, DataError,
+FormatError and ShapeError -> 3, NumericError, ConvergenceError and
+UndefinedCorrelationError -> 4.
 """
 
 

@@ -183,6 +183,12 @@ def _load_trajectory(out_dir):
 # Suites
 # ---------------------------------------------------------------------------
 
+def cell_id(dataset, arch):
+    """Output directory name of a suite cell, e.g. synthetic-digits_c30_mlp-256x256."""
+    corruption = int(round(dataset.get("corruption", 0.0) * 100))
+    return f"{dataset['name']}_c{corruption:02d}_{arch_id(arch)}"
+
+
 def build_suite_cells(suite):
     """Expand a suite config into per-cell ExperimentConfigs."""
     try:
@@ -200,19 +206,16 @@ def build_suite_cells(suite):
             for arch in grid.get("archs", []):
                 dataset = dict(ds)
                 dataset["corruption"] = corruption
-                cell_id = f"{dataset['name']}_c{int(round(corruption * 100)):02d}_{arch_id(arch)}"
                 obj = dict(shared)
                 obj.update({"dataset": dataset, "arch": arch,
-                            "output_dir": os.path.join(output_root, cell_id)})
+                            "output_dir": os.path.join(output_root, cell_id(dataset, arch))})
                 obj.setdefault("epochs", suite.get("epochs", 10))
                 cells.append(ExperimentConfig.from_dict(obj))
     for extra in suite.get("extra_runs", []):
         obj = dict(shared)
         obj.update(extra)
-        cell_id = (f"{obj['dataset']['name']}_"
-                   f"c{int(round(obj['dataset'].get('corruption', 0.0) * 100)):02d}_"
-                   f"{arch_id(obj['arch'])}")
-        obj.setdefault("output_dir", os.path.join(output_root, cell_id))
+        obj.setdefault("output_dir",
+                       os.path.join(output_root, cell_id(obj["dataset"], obj["arch"])))
         obj.setdefault("epochs", suite.get("epochs", 10))
         cells.append(ExperimentConfig.from_dict(obj))
     if not cells:

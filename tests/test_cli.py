@@ -263,6 +263,19 @@ def test_metrics_command_prints_full_set(tmp_path, capsys):
                         "spectral_product"}
 
 
+def test_metrics_shape_mismatch_exits_3(tmp_path, capsys):
+    cfg_path, cfg = toy_config(tmp_path, "shape")
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    ckpt = os.path.join(cfg["output_dir"], "ckpt_epoch0001.cnac")
+    noise = json.dumps({"name": "gaussian-noise", "train_size": 20, "test_size": 10,
+                        "seed": 1})
+    capsys.readouterr()
+    assert main(["metrics", "--checkpoint", ckpt, "--data", noise]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "shape" in err
+    assert "Traceback" not in err
+
+
 def test_undefined_landscape_cells_use_designated_fill():
     import numpy as np
     from cnalab.analysis import LandscapeGrid

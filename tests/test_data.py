@@ -1,14 +1,18 @@
 """Dataset loading, synthesis, corruption, and split tests."""
 
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
+from cnalab import data
+from cnalab.config import resolve_datasets
 from cnalab.data import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, LabeledDataset,
                          corrupt_labels, gaussian_noise_dataset, load_idx, split,
                          synthetic_digits, synthetic_shapes, write_idx)
 from cnalab.errors import DataError, FormatError
+from cnalab.harness import run_suite
 
 
 def make_idx_fixture(tmp_path, pixels, labels):
@@ -151,6 +155,180 @@ def test_synthetic_shapes_distinct_from_digits():
     s = synthetic_shapes(20, seed=2)
     assert s.inputs.shape == (20, 1, 28, 28)
     assert d.inputs.tobytes() != s.inputs.tobytes()
+
+
+# sha256 of (inputs, labels) bytes as rendered before the chunked renderer,
+# at the corpus sizes of configs/, the acceptance suite, the CLI tests and
+# the benchmark (perfbench/workloads.py, default and shifted seeds).
+GOLDEN_CORPORA = [
+    ("digits", 10000, 7, 0,
+     "f91e0d7f8cb8cb141d51a5baea718701b69b6ab3baeb5f7189ad51ef29e78056",
+     "ffc4e500ae5c82e2e7cd6ee50ce7e741aeae3a83678a05e70e88d4052925aa49"),
+    ("digits", 2000, 7, 1,
+     "627a9824d6bc4732fe0e0403b0e692f40bdeee40c83f1d23cd7b46cd4713ecc0",
+     "50d8a00410bd32bd76016461b626f281f04a70041320eaa1cab1b357a2d39ef8"),
+    ("digits", 2000, 7, 0,
+     "ff44c1aa004d19ff4934f926a18cdcf29da6a31612632853699e8fd6fe417064",
+     "5084062f80b46ba7dbf1e01fb4dd2e9ba47ac8e254582e1160abab70b43616f5"),
+    ("digits", 1000, 7, 1,
+     "dad8e962c2f0d172048fd354a0f5e9c903702554696a0cf37b36f7a0237f6e3b",
+     "954cef0cf24fe8b95e03d8f4ec711d0fe910504d3d94631a61798e2a66fd1f83"),
+    ("digits", 500, 7, 1,
+     "d4b1cbc4983bdc9c3e74e009011649005bf38406c08f41c1124ba0b651124a2c",
+     "5dc49b316023858a7eecce14b19cae333aa66180f69abe73ead0c765dd6031ff"),
+    ("digits", 300, 7, 0,
+     "89d4a0d8b2fe2f95849956d6921d596d32067800d6cf4a987f886900d92f1174",
+     "a1af22927335ff8738b972997c3a5e7299972fe0f8f02c07f0d5da8d6f9c4ec7"),
+    ("digits", 200, 7, 0,
+     "9838650a47fa5ee721dcd71c77b1a690d7795ce1037cc99043ba1c53afee2108",
+     "ecb893a05b023439b86de6547b678ee222b0d08bde839dfed691ff689fc9c4e8"),
+    ("digits", 100, 7, 1,
+     "057f941268d641a85a1bac801a74440129870a358203b1b985f6e474707def20",
+     "60d8c95fcaca4255a6d3bb696b7ee605a701cdaee2da73a598b8049094ae3e86"),
+    ("digits", 60, 7, 1,
+     "51d63a957358814eca8c3149279bbe048df8579440b0a929b1ab907d8ce30e93",
+     "ce919cbbe48e9a90b3df49778022fdb3013b2f87a53622117ceef4e6ab1ca974"),
+    ("digits", 40, 7, 0,
+     "578f33118ea96c230652cbc2a805b4d47bfd041b5afaf59443dffc0b0da2de7c",
+     "9e2286a56ed2fe2ca23f9a83f397367003f7f045f4e71160df5507a3aeab324e"),
+    ("digits", 20, 7, 1,
+     "ecdcf63c706c6968a792b3aceea4bde86595da380501f56633c95289964b5fc6",
+     "5589c5c9d8e5f39469ef10bf1919c837c072a51ed5b9b7d7795e6f6aa934992c"),
+    ("digits", 30, 1, 0,
+     "16b845c94f55e3a02c9695a2ed9424f2ba31a2149356eae2bc96b1ffcb762ee3",
+     "4fadb91ebfbbc9679840cb4964adc34b7ad4414cea35037ad6f08db9c88ac647"),
+    ("digits", 30, 1, 1,
+     "60bc5368f9a78ef37bf6524bc7cf0c0e12e43e13bee72af0a863536b56f2e6d5",
+     "0aa97b9f17b05b92e26cfd44862f49e26b893a981bbede775987731a17a12be5"),
+    ("digits", 20, 2, 0,
+     "1945b9fd15b35049430ef94414b5f6962291525611799c85b9e49941afb2e2b3",
+     "34b13c7f4b294e0a37b82b74a5466170aaaa6b2cc06f2f04ad8dd2423020252d"),
+    ("digits", 200, 1007, 0,
+     "e93b01288812d7fac75b0127c8123e20faf6cf9e9a7c4ac093e7eb44a7778831",
+     "6a41663011fa06d8acc3485f261a3d575ad97d564f41b199d11a3783888d647b"),
+    ("digits", 150, 7, 0,
+     "331c26d0952c087b16a0453b83f8983872802a8ce250b560774b4df14407b7ab",
+     "9517ada30ce03af46ebb9e755df7c5048148034b7ef73dfb66dd39396d71bb38"),
+    ("digits", 80, 7, 1,
+     "ba04790ac45d936f47fb6f7ddbef5e4c4281c65fd4135758d6f1fdbab894fa74",
+     "9ac206b8433f970aa49be65bdf061e20e024cc266fb9085a267f0aba7da28afc"),
+    ("digits", 120, 3, 0,
+     "955121fa7859154106df2deb251b5c9db8511b4ab8863fefb04bc87a27d3dc7b",
+     "39f54c62b889f6000aa793fddfdaa173fcef8a47aaefb2e0dd167b8418af5d72"),
+    ("digits", 60, 3, 1,
+     "4d67cf41229eac575ba5a2dc2e8d1e920c4d170e82269f911f658f0f208a9be8",
+     "8d9de2956af09027dd9ee3dead8300f72d620aa80c510cc0f431fbc240a1daaf"),
+    ("shapes", 2000, 8, 0,
+     "6f912aec15c0d6170cb3e5177842f7caa4eebccb701027b35e185df4e76ca7e6",
+     "7efe2ae190464397df7043438988a6cd371c807cf03c694e107612150faf808c"),
+    ("shapes", 1000, 8, 1,
+     "4a3347645e898f0ebdd5a554450f8aa1b1932ee2cc6bca49118947a4b5162e77",
+     "b509a98cacf9f7ae0e90d3b9d04613f7ddac97bf6607b69d99ebc05157aa69b5"),
+    ("shapes", 200, 8, 0,
+     "a808d6e3e2db2db6dec3f5e9490518e8568582db8817bb3112455b8a82b147d6",
+     "85123f2f4219d26d7cc259e6ebd7702a66f6a898852c13ce736000d497551670"),
+    ("shapes", 100, 8, 1,
+     "f5a75f603abb2770011c4d26548ada0f5f27b945949a3e2773dc88bf751b5353",
+     "1535ae8fc89a95fa995fd994977345c05e15dd3661117a5e1edc853ec7ddd61b"),
+    ("shapes", 40, 8, 0,
+     "5929cc6921c14428e556557469f5b03c145254776041dc9c2093a93e853733b1",
+     "e760b734ed063588874a6db68bb57d4f5acc7f0d29fe7581c6153a06cfd9afcc"),
+    ("shapes", 20, 8, 1,
+     "4aa4c179a92cc063051b656e364ec76fd6eb22fb4fe4c74bf90ae425aa7b0133",
+     "088c46c3c0225ac1401f6ced450dc35a41bc157b7585787fefac182d3dd4f185"),
+    ("shapes", 20, 2, 0,
+     "ef212afcb8fc77bf62d5fcba25765a8763e55a02ca180e396cb748746c280d32",
+     "34b13c7f4b294e0a37b82b74a5466170aaaa6b2cc06f2f04ad8dd2423020252d"),
+    ("shapes", 100, 1008, 1,
+     "158bbc7c19c54560b58a2ca4a162d2e14fd3f827065dae445aa6e5b90fe997f0",
+     "349c8d0156906253f7e45eb266e0aabb3b547e0c4a29582f97ad7cc66946f8c9"),
+]
+
+
+@pytest.mark.parametrize("source,n,seed,stream,inputs_sha,labels_sha", GOLDEN_CORPORA)
+def test_synthetic_corpora_pixel_golden(source, n, seed, stream, inputs_sha, labels_sha):
+    gen = synthetic_digits if source == "digits" else synthetic_shapes
+    ds = gen(n, seed, stream=stream)
+    assert hashlib.sha256(ds.inputs.tobytes()).hexdigest() == inputs_sha
+    assert hashlib.sha256(ds.labels.tobytes()).hexdigest() == labels_sha
+
+
+def dense_ink(segments, thickness, aa=0.02):
+    """Every pixel against every segment: the expression pixel culling skips."""
+    grid = data._GRID[:, None, :]
+    p, q = segments[:, 0][None], segments[:, 1][None]
+    d = q - p
+    len2 = np.maximum((d ** 2).sum(-1), 1e-12)
+    t = np.clip(((grid - p) * d).sum(-1) / len2, 0.0, 1.0)
+    dist = np.sqrt(((grid - (p + t[..., None] * d)) ** 2).sum(-1))
+    return np.clip((thickness - dist) / aa, 0.0, 1.0).max(axis=1)
+
+
+def test_culled_ink_equals_dense_ink_bitwise():
+    rng = np.random.default_rng(0)
+    strokes, expected = [], np.zeros((6, 28 * 28))
+    for k in range(40):
+        image = k % 6
+        # segments reach past the canvas edges, some are points, some thick
+        segs = rng.uniform(-0.3, 1.3, size=(int(rng.integers(1, 6)), 2, 2))
+        segs[0, 1] = segs[0, 0] if k % 5 == 0 else segs[0, 1]
+        thickness = float(rng.choice([0.03, 0.07, 0.3]))
+        strokes.append((image, segs, thickness))
+        expected[image] = np.maximum(expected[image], dense_ink(segs, thickness))
+    assert data._strokes_ink(strokes, 6).tobytes() == expected.tobytes()
+
+
+@pytest.fixture
+def fresh_corpus_cache():
+    data._cached_corpus.cache_clear()
+    yield
+    data._cached_corpus.cache_clear()
+
+
+def test_cached_corpus_is_read_only(fresh_corpus_cache):
+    ds = synthetic_shapes(12, seed=4)
+    assert not ds.inputs.flags.writeable and not ds.labels.flags.writeable
+    with pytest.raises(ValueError):
+        ds.inputs[0] = 0.0
+    with pytest.raises(ValueError):
+        ds.labels[0] = 0
+    again = synthetic_shapes(12, seed=4)
+    assert again is not ds and again.inputs is ds.inputs
+
+
+def test_corrupted_spec_leaves_cached_clean_corpus_intact(fresh_corpus_cache):
+    spec = {"name": "synthetic-digits", "train_size": 60, "test_size": 20, "seed": 5}
+    corrupted, _ = resolve_datasets(dict(spec, corruption=0.3))
+    clean, _ = resolve_datasets(dict(spec, corruption=0.0))
+    fresh = data._render_corpus(60, 5, 0, data._digit_strokes(), 0.045, "synthetic-digits")
+    assert np.array_equal(clean.labels, fresh.labels)
+    assert clean.inputs.tobytes() == fresh.inputs.tobytes()
+    assert not np.array_equal(corrupted.labels, fresh.labels)
+
+
+def test_suite_renders_each_corpus_once(tmp_path, monkeypatch, fresh_corpus_cache):
+    calls = []
+    render = data._render_corpus
+
+    def counting(n, seed, stream, glyphs, default_thickness, source):
+        calls.append((source, n, seed, stream))
+        return render(n, seed, stream, glyphs, default_thickness, source)
+
+    monkeypatch.setattr(data, "_render_corpus", counting)
+    suite = {"grid": {"datasets": [{"name": "synthetic-digits", "train_size": 30,
+                                    "test_size": 20, "seed": 3},
+                                   {"name": "synthetic-shapes", "train_size": 30,
+                                    "test_size": 20, "seed": 4}],
+                      "corruptions": [0.0, 0.3],
+                      "archs": [{"name": "mlp", "hidden": [4, 4]},
+                                {"name": "cnn", "channels": [2, 2]}]},
+             "optimizer": {"kind": "sgd", "lr": 0.01, "batch_size": 16},
+             "epochs": 1, "keep_checkpoints": "latest",
+             "output_root": str(tmp_path / "suite")}
+    summary, _ = run_suite(suite, log=lambda *_: None)
+    assert summary["n_failed"] == 0 and len(summary["cells"]) == 8
+    assert sorted(calls) == [("synthetic-digits", 20, 3, 1), ("synthetic-digits", 30, 3, 0),
+                             ("synthetic-shapes", 20, 4, 1), ("synthetic-shapes", 30, 4, 0)]
 
 
 def test_label_validation():
