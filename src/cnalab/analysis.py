@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, UndefinedCorrelationError
-from .metrics import pearson, slope_vector
+from .metrics import _cna, pearson
 from .nn import forward
 
 
@@ -130,9 +130,8 @@ def cna_at_points(basis, coords, probe_alphas):
     states = basis.reconstruct(coords)
     values = np.empty(len(coords))
     for i, state in enumerate(states):
-        betas = slope_vector(state.reshape(probe_n, n_layers))
         try:
-            values[i] = pearson(alphas, betas, names=("alpha", "beta"))
+            values[i] = _cna(alphas, state.reshape(probe_n, n_layers))
         except UndefinedCorrelationError:
             values[i] = np.nan
     return values

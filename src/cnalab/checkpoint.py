@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError
-from .nn import LayerSpec, Network
+from .errors import CnaLabError, FormatError
+from .nn import LayerSpec, Network, _layout
 from .optim import OptConfig, OptState
 
 MAGIC = b"CNAC"
@@ -39,21 +39,19 @@ class Checkpoint:
     seeds: dict = field(default_factory=dict)
 
 
-def _block_name(prefix, idx, name):
-    return f"{prefix}/{idx}/{name}"
+def _tables(params, opt_state):
+    """Block-name prefix -> the {layer: {name: array}} table it stores."""
+    return {"param": params, "adam_m": opt_state.m, "adam_v": opt_state.v}
 
 
 def save_checkpoint(net, opt_config, opt_state, epoch, path, seeds=None):
     blocks = []
     arrays = []
-    for idx, name, arr in net.param_items():
-        blocks.append({"name": _block_name("param", idx, name), "shape": list(arr.shape)})
-        arrays.append(arr)
-    for prefix, table in (("adam_m", opt_state.m), ("adam_v", opt_state.v)):
+    for prefix, table in _tables(net.params, opt_state).items():
         for idx in sorted(table):
             for name in sorted(table[idx]):
                 arr = table[idx][name]
-                blocks.append({"name": _block_name(prefix, idx, name), "shape": list(arr.shape)})
+                blocks.append({"name": f"{prefix}/{idx}/{name}", "shape": list(arr.shape)})
                 arrays.append(arr)
 
     meta = {
@@ -79,6 +77,7 @@ def save_checkpoint(net, opt_config, opt_state, epoch, path, seeds=None):
 
 
 def load_checkpoint(path):
+    """Read a .cnac file; a malformed or inconsistent one raises FormatError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 12 or raw[:4] != MAGIC:
@@ -91,49 +90,38 @@ def load_checkpoint(path):
         raise FormatError(f"{path}: truncated metadata")
     try:
         meta = json.loads(raw[12:12 + meta_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: corrupt metadata ({exc})") from exc
+        return _from_meta(meta, raw, 12 + meta_len, version)
+    except (ValueError, KeyError, TypeError, AttributeError, ArithmeticError, CnaLabError) as exc:
+        raise FormatError(f"{path}: bad checkpoint ({type(exc).__name__}: {exc})") from exc
 
-    offset = 12 + meta_len
-    tensors = {}
+
+def _from_meta(meta, raw, offset, version):
+    """Checkpoint from parsed metadata and the raw file bytes. Any
+    inconsistency among metadata, blocks and layer specs raises; the
+    caller reports it as a FormatError."""
+    if not all(type(meta[key]) is int and meta[key] >= 0 for key in ("epoch", "opt_t")):
+        raise FormatError("epoch and optimizer step must be non-negative integers")
+    params = {}
+    state = OptState(t=meta["opt_t"])
+    tables = _tables(params, state)
     for block in meta["blocks"]:
         shape = tuple(block["shape"])
         nbytes = int(np.prod(shape)) * 8
         if offset + nbytes > len(raw):
-            raise FormatError(f"{path}: truncated parameter block {block['name']}")
-        tensors[block["name"]] = np.frombuffer(
+            raise FormatError(f"truncated parameter block {block['name']}")
+        prefix, idx, name = block["name"].split("/")
+        if prefix not in tables:
+            raise FormatError(f"unknown block prefix {prefix!r}")
+        tables[prefix].setdefault(int(idx), {})[name] = np.frombuffer(
             raw[offset:offset + nbytes], dtype="<f8").reshape(shape).copy()
         offset += nbytes
     if offset != len(raw):
-        raise FormatError(f"{path}: {len(raw) - offset} trailing bytes after last block")
+        raise FormatError(f"{len(raw) - offset} trailing bytes after last block")
+    if any(table and _layout(table) != _layout(params) for table in (state.m, state.v)):
+        raise FormatError("optimizer moment blocks do not match the parameters")
 
-    specs = [LayerSpec.from_dict(d) for d in meta["specs"]]
-    params = {}
-    state = OptState(t=meta["opt_t"])
-    for name, arr in tensors.items():
-        prefix, idx, pname = name.split("/")
-        idx = int(idx)
-        if prefix == "param":
-            params.setdefault(idx, {})[pname] = arr
-        elif prefix == "adam_m":
-            state.m.setdefault(idx, {})[pname] = arr
-        elif prefix == "adam_v":
-            state.v.setdefault(idx, {})[pname] = arr
-        else:
-            raise FormatError(f"{path}: unknown block prefix {prefix!r}")
-
-    input_shape = tuple(meta["input_shape"])
-    shape = input_shape
-    layer_shapes = []
-    from .nn import _propagate_shape
-    for spec in specs:
-        shape = _propagate_shape(spec, shape)
-        layer_shapes.append(shape)
-    param_indices = sorted(params)
-    depth_map = param_indices if meta["include_output"] else param_indices[:-1]
-    net = Network(specs=specs, params=params, input_shape=input_shape,
-                  layer_shapes=layer_shapes, depth_map=depth_map,
-                  aggregation=meta["aggregation"], include_output=meta["include_output"],
-                  init_seed=meta["init_seed"])
+    net = Network(specs=[LayerSpec.from_dict(d) for d in meta["specs"]], params=params,
+                  input_shape=meta["input_shape"], aggregation=meta["aggregation"],
+                  include_output=meta["include_output"], init_seed=meta["init_seed"])
     return Checkpoint(version=version, net=net, opt_config=OptConfig.from_dict(meta["opt"]),
                       opt_state=state, epoch=meta["epoch"], seeds=meta.get("seeds", {}))

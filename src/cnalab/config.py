@@ -7,6 +7,7 @@ docs/config.md for the schema.
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -197,12 +198,9 @@ def build_arch(arch_cfg, input_shape, classes):
     name = arch_cfg.get("name")
     specs = []
     if name == "mlp":
-        n_in = input_shape[0] if len(input_shape) == 1 else None
-        if n_in is None:
+        if len(input_shape) != 1:
             specs.append(nn.flatten())
-            n_in = 1
-            for d in input_shape:
-                n_in *= d
+        n_in = math.prod(input_shape)
         hidden = arch_cfg.get("hidden", [128, 128])
         if not hidden:
             raise ConfigError("mlp needs at least one hidden layer (slope needs depth >= 2)")
@@ -217,18 +215,16 @@ def build_arch(arch_cfg, input_shape, classes):
         channels = arch_cfg.get("channels", [4, 8])
         kernel = int(arch_cfg.get("kernel", 5))
         stride = int(arch_cfg.get("stride", 2))
-        c, h, w = input_shape
+        shape = tuple(input_shape)
         for out_c in channels:
-            specs.append(nn.conv2d(c, int(out_c), kernel, stride))
-            specs.append(nn.relu())
-            c = int(out_c)
-            h = (h - kernel) // stride + 1
-            w = (w - kernel) // stride + 1
-            if h < 1 or w < 1:
+            if min(shape[1:]) < kernel:
                 raise ConfigError("cnn spatial size collapsed below 1x1; "
                                   "reduce depth, kernel, or stride")
+            specs.append(nn.conv2d(shape[0], int(out_c), kernel, stride))
+            specs.append(nn.relu())
+            shape = nn._propagate_shape(specs[-2], shape)
         specs.append(nn.flatten())
-        specs.append(nn.dense(c * h * w, classes))
+        specs.append(nn.dense(math.prod(shape), classes))
     else:
         raise ConfigError(f"unknown architecture {name!r} (expected mlp or cnn)")
     return specs

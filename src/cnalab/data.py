@@ -122,11 +122,12 @@ def gaussian_noise_dataset(n, seed):
 
 
 def corrupt_labels(ds, fraction, seed):
-    """Return a copy of ds with floor(fraction*N) labels cyclically shuffled.
+    """Return ds with floor(fraction*N) labels cyclically shuffled.
 
     The participating indices are chosen uniformly without replacement;
     their labels rotate by one position along the chosen order, so the
-    label multiset is preserved. fraction must lie in [0, 0.5].
+    label multiset is preserved. fraction must lie in [0, 0.5]. Only the
+    labels are copied: the result shares the inputs array of ds.
     """
     if not 0.0 <= fraction <= 0.5:
         raise DataError(f"corruption fraction {fraction} outside [0, 0.5]")
@@ -138,7 +139,7 @@ def corrupt_labels(ds, fraction, seed):
         labels[idx] = labels[np.roll(idx, -1)]
     prov = dict(ds.provenance)
     prov.update({"corruption_fraction": float(fraction), "corruption_seed": int(seed)})
-    return LabeledDataset(ds.inputs.copy(), labels, ds.classes, prov)
+    return LabeledDataset(ds.inputs, labels, ds.classes, prov)
 
 
 def split(ds, train_fraction, seed):

@@ -43,11 +43,8 @@ def ckpt_path(out_dir, epoch, keep="all"):
 
 
 def _latest_checkpoint(out_dir):
-    paths = sorted(glob.glob(os.path.join(out_dir, "ckpt_*.cnac")))
-    if not paths:
-        return None
     best, best_epoch = None, -1
-    for p in paths:
+    for p in sorted(glob.glob(os.path.join(out_dir, "ckpt_*.cnac"))):
         try:
             ck = load_checkpoint(p)
         except CnaLabError:

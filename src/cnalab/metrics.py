@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DataError, UndefinedCorrelationError
-from .nn import forward
+from .nn import _walk, forward
 from .optim import iter_batches
 
 
@@ -148,9 +148,12 @@ def cna(net, inputs, cfg=EntropyConfig(), alphas=None):
         raise DataError("cna needs at least 2 datapoints")
     if alphas is None:
         alphas = entropy_vector(inputs, cfg)
-    z, _ = trace_over_dataset(net, inputs)
-    betas = slope_vector(z)
-    return pearson(alphas, betas, names=("alpha", "beta"))
+    return _cna(alphas, trace_over_dataset(net, inputs)[0])
+
+
+def _cna(alphas, z):
+    """Pearson correlation of entropies and the slopes of the trace z."""
+    return pearson(alphas, slope_vector(z), names=("alpha", "beta"))
 
 
 def output_margin(logits, label):
@@ -191,10 +194,11 @@ def cna_margin(net, train_ds, cfg=EntropyConfig(), percentile=10.0, alphas=None)
     if alphas is None:
         alphas = entropy_vector(train_ds.inputs, cfg)
     z, logits = trace_over_dataset(net, train_ds.inputs)
-    betas = slope_vector(z)
-    base = pearson(alphas, betas, names=("alpha", "beta"))
-    factor = margin_factor(margin_vector(logits, train_ds.labels), percentile)
-    return base * factor + 0.0   # +0.0 folds -0.0 into 0.0
+    return _margin_scaled(_cna(alphas, z), margin_vector(logits, train_ds.labels), percentile)
+
+
+def _margin_scaled(cna_value, margins, percentile):
+    return cna_value * margin_factor(margins, percentile) + 0.0   # +0.0 folds -0.0 into 0.0
 
 
 def spectral_norm(w, tol=1e-10, max_iter=50000):
@@ -231,29 +235,15 @@ def spectral_norm(w, tol=1e-10, max_iter=50000):
 def path_norm(net):
     """Sum of squared-weight products over all input-output paths.
 
-    Computed by pushing an all-ones input through the network with every
-    weight and bias squared; relu is the identity on the resulting
-    non-negative values.
+    Computed by the layer walk on an all-ones input with every weight and
+    bias squared; relu is the identity on the resulting non-negative
+    values.
     """
-    from .nn import _im2col
-
-    a = np.ones((1,) + net.input_shape)
-    for idx, spec in enumerate(net.specs):
-        if spec.kind == "dense":
-            a = a @ (net.params[idx]["W"] ** 2)
-            if spec.bias:
-                a = a + net.params[idx]["b"] ** 2
-        elif spec.kind == "conv2d":
-            w = net.params[idx]["W"]
-            cols, oh, ow = _im2col(a, spec.kernel, spec.stride)
-            pre = cols @ (w.reshape(w.shape[0], -1) ** 2).T
-            if spec.bias:
-                pre = pre + net.params[idx]["b"] ** 2
-            a = pre.reshape(1, oh, ow, w.shape[0]).transpose(0, 3, 1, 2)
-        elif spec.kind == "flatten":
-            a = a.reshape(1, -1)
-        # relu: identity on non-negative values
-    return float(a.sum())
+    squared = {idx: {name: arr ** 2 for name, arr in p.items()} for idx, p in net.params.items()}
+    out = np.ones((1,) + net.input_shape)
+    for _, out, _ in _walk(net, out, squared):
+        pass
+    return float(out.sum())
 
 
 def norm_metrics(net, gamma):
@@ -266,14 +256,12 @@ def norm_metrics(net, gamma):
     """
     if gamma <= 0:
         raise DataError(f"margin gamma must be positive, got {gamma}")
-    fro_prod, spec_prod, ratio_sum = _norm_products(net)
-    g2 = gamma * gamma
-    return {"frobenius": fro_prod / g2,
-            "spectral": spec_prod * ratio_sum / g2,
-            "path": path_norm(net) / g2}
+    return {k: v for k, v in _norms(net, gamma).items() if k != "spectral_product"}
 
 
-def _norm_products(net):
+def _norms(net, gamma):
+    """The unnormalized spectral product, plus the norm_metrics measures
+    when gamma is positive."""
     fro_prod = 1.0
     spec_prod = 1.0
     ratio_sum = 0.0
@@ -283,7 +271,12 @@ def _norm_products(net):
         fro_prod *= fro2
         spec_prod *= spec2
         ratio_sum += fro2 / spec2 if spec2 > 0 else 0.0
-    return fro_prod, spec_prod, ratio_sum
+    out = {"spectral_product": spec_prod}
+    if gamma > 0:
+        g2 = gamma * gamma
+        out.update(frobenius=fro_prod / g2, spectral=spec_prod * ratio_sum / g2,
+                   path=path_norm(net) / g2)
+    return out
 
 
 METRIC_NAMES = ("cna", "cna_margin", "frobenius", "spectral", "path", "spectral_product")
@@ -326,11 +319,10 @@ def gap_metric_set(net, train_ds, test_ds, cfg=EntropyConfig(), percentile=10.0,
         train_alphas = entropy_vector(train_ds.inputs, cfg)
     z_tr, logits_tr = trace_over_dataset(net, train_ds.inputs)
     margins = margin_vector(logits_tr, train_ds.labels)
-
-    out = GapMetricSet()
+    out = GapMetricSet(**_norms(net, float(np.percentile(margins, percentile))))
     try:
-        base = pearson(train_alphas, slope_vector(z_tr), names=("alpha", "beta"))
-        out.cna_margin = base * margin_factor(margins, percentile) + 0.0
+        base = _cna(train_alphas, z_tr)
+        out.cna_margin = _margin_scaled(base, margins, percentile)
         if cna_split == "train":
             out.cna = base
     except UndefinedCorrelationError:
@@ -338,18 +330,8 @@ def gap_metric_set(net, train_ds, test_ds, cfg=EntropyConfig(), percentile=10.0,
     if cna_split == "test":
         if test_alphas is None:
             test_alphas = entropy_vector(test_ds.inputs, cfg)
-        z_te, _ = trace_over_dataset(net, test_ds.inputs)
         try:
-            out.cna = pearson(test_alphas, slope_vector(z_te), names=("alpha", "beta"))
+            out.cna = _cna(test_alphas, trace_over_dataset(net, test_ds.inputs)[0])
         except UndefinedCorrelationError:
             pass
-
-    fro_prod, spec_prod, ratio_sum = _norm_products(net)
-    out.spectral_product = spec_prod
-    gamma = float(np.percentile(margins, percentile))
-    if gamma > 0:
-        g2 = gamma * gamma
-        out.frobenius = fro_prod / g2
-        out.spectral = spec_prod * ratio_sum / g2
-        out.path = path_norm(net) / g2
     return out

@@ -6,15 +6,22 @@ aggregated pre-activation value for each depth-mapped layer; the
 resulting matrix (N datapoints x L layers) is the raw material for the
 activation-slope metric. Recording never perturbs the computation.
 
+One layer walk (_walk over _apply_layer) serves forward, the forward half
+of loss_and_gradients, layer_preactivations and, on squared parameters,
+metrics.path_norm.
+
 Depth map: the layers counted as depth 1..L are the parameterized hidden
 layers, in network order. The final parameterized layer (the one
 producing the logits) is excluded unless the network was built with
-include_output=True.
+include_output=True. The Network constructor derives depth_map and
+layer_shapes from the specs, and rejects params that are not one W (and
+a b iff spec.bias) of the right shape per parameterized layer.
 
 Everything runs single-threaded with numpy's fixed reduction order, so
 (seed, config) determines every result bitwise.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,18 +90,58 @@ def _propagate_shape(spec, shape):
     raise ShapeError(f"unknown layer kind {spec.kind!r}")
 
 
+def _param_shapes(spec):
+    """Name -> shape of the parameters one layer owns; empty for relu/flatten."""
+    if spec.kind == "dense":
+        shapes, n_out = {"W": (spec.in_features, spec.out_features)}, spec.out_features
+    elif spec.kind == "conv2d":
+        k = spec.kernel
+        shapes, n_out = {"W": (spec.out_channels, spec.in_channels, k, k)}, spec.out_channels
+    else:
+        return {}
+    if spec.bias:
+        shapes["b"] = (n_out,)
+    return shapes
+
+
+def _layout(params):
+    """{layer index: {name: shape}} of a params-like table."""
+    return {idx: {name: np.shape(arr) for name, arr in p.items()} for idx, p in params.items()}
+
+
 @dataclass
 class Network:
-    """Ordered layer specs, parameter tensors, and the depth map."""
+    """Ordered layer specs, parameter tensors, and the depth map. The one
+    constructor checks params against specs and derives the shapes."""
 
     specs: list
     params: dict          # layer index -> {"W": array, "b": array}
     input_shape: tuple
-    layer_shapes: list    # per-layer output shapes (per datapoint)
-    depth_map: list       # layer indices counted as depths 1..L
+    layer_shapes: list = field(init=False)   # per-layer output shapes (per datapoint)
+    depth_map: list = field(init=False)      # layer indices counted as depths 1..L
     aggregation: str = "mean"   # "mean" or "sum" over a layer's pre-activations
     include_output: bool = False
     init_seed: int = 0
+
+    def __post_init__(self):
+        if not self.specs:
+            raise ShapeError("empty layer spec list")
+        if self.aggregation not in ("mean", "sum"):
+            raise ValueError(f"aggregation must be 'mean' or 'sum', got {self.aggregation!r}")
+        self.specs = list(self.specs)
+        self.input_shape = shape = tuple(int(d) for d in self.input_shape)
+        self.layer_shapes = []
+        for spec in self.specs:
+            shape = _propagate_shape(spec, shape)
+            self.layer_shapes.append(shape)
+        if len(shape) != 1:
+            raise ShapeError(f"network must end in a class-score vector, got shape {shape}")
+        expected = {idx: _param_shapes(spec) for idx, spec in enumerate(self.specs)
+                    if spec.kind in PARAM_KINDS}
+        if _layout(self.params) != expected:
+            raise ShapeError(f"params {_layout(self.params)} do not match specs {expected}")
+        param_indices = sorted(expected)
+        self.depth_map = param_indices if self.include_output else param_indices[:-1]
 
     @property
     def n_layers(self):
@@ -131,45 +178,18 @@ def build_network(specs, init_seed, input_shape, aggregation="mean", include_out
     biases start at zero. The same (specs, init_seed) always yields
     bit-identical parameters.
     """
-    if not specs:
-        raise ShapeError("empty layer spec list")
-    if aggregation not in ("mean", "sum"):
-        raise ValueError(f"aggregation must be 'mean' or 'sum', got {aggregation!r}")
-    input_shape = tuple(int(d) for d in input_shape)
-
-    shape = input_shape
-    layer_shapes = []
-    for spec in specs:
-        shape = _propagate_shape(spec, shape)
-        layer_shapes.append(shape)
-    if len(layer_shapes[-1]) != 1:
-        raise ShapeError(f"network must end in a class-score vector, got shape {layer_shapes[-1]}")
-
     rng = seeded_rng(init_seed, "init")
     params = {}
     for idx, spec in enumerate(specs):
-        if spec.kind == "dense":
-            fan_in, fan_out = spec.in_features, spec.out_features
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            p = {"W": rng.uniform(-limit, limit, size=(fan_in, fan_out))}
+        shapes = _param_shapes(spec)
+        if shapes:
+            w = shapes["W"]
+            # fan_in + fan_out: the two leading axes times the kernel area
+            limit = np.sqrt(6.0 / ((w[0] + w[1]) * math.prod(w[2:])))
+            params[idx] = {"W": rng.uniform(-limit, limit, size=w)}
             if spec.bias:
-                p["b"] = np.zeros(fan_out)
-            params[idx] = p
-        elif spec.kind == "conv2d":
-            k = spec.kernel
-            fan_in = spec.in_channels * k * k
-            fan_out = spec.out_channels * k * k
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            p = {"W": rng.uniform(-limit, limit, size=(spec.out_channels, spec.in_channels, k, k))}
-            if spec.bias:
-                p["b"] = np.zeros(spec.out_channels)
-            params[idx] = p
-
-    param_indices = sorted(params)
-    depth_map = param_indices if include_output else param_indices[:-1]
-
-    return Network(specs=list(specs), params=params, input_shape=input_shape,
-                   layer_shapes=layer_shapes, depth_map=depth_map,
+                params[idx]["b"] = np.zeros(shapes["b"])
+    return Network(specs=specs, params=params, input_shape=input_shape,
                    aggregation=aggregation, include_output=include_output,
                    init_seed=int(init_seed))
 
@@ -213,63 +233,56 @@ def _aggregate(pre, mode):
     return flat.mean(axis=1) if mode == "mean" else flat.sum(axis=1)
 
 
-def _run_forward(net, batch, record, keep_cache):
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim < 2:
+def _apply_layer(net, idx, a, params=None):
+    """Layer idx applied to the batch a: (output, backward cache).
+
+    params replaces net.params (same layout); this is the only place
+    that dispatches the forward computation on the layer kind.
+    """
+    spec = net.specs[idx]
+    if spec.kind == "relu":
+        return np.maximum(a, 0.0), a
+    if spec.kind == "flatten":
+        return a.reshape(a.shape[0], -1), a.shape
+    p = (net.params if params is None else params)[idx]
+    if spec.kind == "dense":
+        out = a @ p["W"]
+        return (out + p["b"] if spec.bias else out), a
+    w = p["W"]
+    cols, oh, ow = _im2col(a, spec.kernel, spec.stride)
+    out = cols @ w.reshape(w.shape[0], -1).T
+    if spec.bias:
+        out = out + p["b"]
+    out = out.reshape(a.shape[0], oh, ow, w.shape[0]).transpose(0, 3, 1, 2)
+    return out, (cols, a.shape, oh, ow)
+
+
+def _walk(net, batch, params=None):
+    """The layer walk: checks the batch against the network input, then
+    yields (layer index, output, backward cache) for every layer in order."""
+    a = np.asarray(batch, dtype=np.float64)
+    if a.ndim < 2:
         raise ShapeError("batch must have a leading datapoint dimension")
-    if tuple(batch.shape[1:]) != net.input_shape:
-        raise ShapeError(f"batch shape {tuple(batch.shape[1:])} does not match "
+    if tuple(a.shape[1:]) != net.input_shape:
+        raise ShapeError(f"batch shape {tuple(a.shape[1:])} does not match "
                          f"network input {net.input_shape}")
-    n = batch.shape[0]
-    depth_set = set(net.depth_map)
-    z_cols = []
-    caches = []
-    a = batch
-    for idx, spec in enumerate(net.specs):
-        if spec.kind == "dense":
-            w = net.params[idx]["W"]
-            pre = a @ w
-            if spec.bias:
-                pre = pre + net.params[idx]["b"]
-            if keep_cache:
-                caches.append(("dense", idx, a))
-            if record and idx in depth_set:
-                z_cols.append(_aggregate(pre, net.aggregation))
-            a = pre
-        elif spec.kind == "conv2d":
-            w = net.params[idx]["W"]
-            k, s = spec.kernel, spec.stride
-            cols, oh, ow = _im2col(a, k, s)
-            pre = cols @ w.reshape(w.shape[0], -1).T
-            if spec.bias:
-                pre = pre + net.params[idx]["b"]
-            pre = pre.reshape(n, oh, ow, w.shape[0]).transpose(0, 3, 1, 2)
-            if keep_cache:
-                caches.append(("conv2d", idx, (cols, a.shape, oh, ow)))
-            if record and idx in depth_set:
-                z_cols.append(_aggregate(pre, net.aggregation))
-            a = pre
-        elif spec.kind == "relu":
-            if keep_cache:
-                caches.append(("relu", idx, a))
-            a = np.maximum(a, 0.0)
-        elif spec.kind == "flatten":
-            if keep_cache:
-                caches.append(("flatten", idx, a.shape))
-            a = a.reshape(n, -1)
-    check_finite(a, "logits")
-    trace = None
-    if record:
-        trace = ActivationTrace(z=np.column_stack(z_cols) if z_cols else np.zeros((n, 0)),
-                                aggregation=net.aggregation)
-    return a, trace, caches
+    for idx in range(len(net.specs)):
+        a, cache = _apply_layer(net, idx, a, params)
+        yield idx, a, cache
 
 
 def forward(net, batch, record=False):
     """Forward pass. Returns (logits, trace) where trace is None unless
     record is set."""
-    logits, trace, _ = _run_forward(net, batch, record, keep_cache=False)
-    return logits, trace
+    z_cols = []
+    for idx, a, _ in _walk(net, batch):
+        if record and idx in net.depth_map:
+            z_cols.append(_aggregate(a, net.aggregation))
+    check_finite(a, "logits")
+    if not record:
+        return a, None
+    z = np.column_stack(z_cols) if z_cols else np.zeros((a.shape[0], 0))
+    return a, ActivationTrace(z=z, aggregation=net.aggregation)
 
 
 def layer_preactivations(net, batch):
@@ -280,32 +293,8 @@ def layer_preactivations(net, batch):
     used for fidelity checks on tiny networks; the per-layer aggregate of
     each block reproduces the standard trace exactly.
     """
-    batch = np.asarray(batch, dtype=np.float64)
-    depth_set = set(net.depth_map)
-    blocks = {}
-    a = batch
-    n = batch.shape[0]
-    for idx, spec in enumerate(net.specs):
-        if spec.kind == "dense":
-            pre = a @ net.params[idx]["W"]
-            if spec.bias:
-                pre = pre + net.params[idx]["b"]
-            a = pre
-        elif spec.kind == "conv2d":
-            w = net.params[idx]["W"]
-            cols, oh, ow = _im2col(a, spec.kernel, spec.stride)
-            pre = cols @ w.reshape(w.shape[0], -1).T
-            if spec.bias:
-                pre = pre + net.params[idx]["b"]
-            a = pre.reshape(n, oh, ow, w.shape[0]).transpose(0, 3, 1, 2)
-        elif spec.kind == "relu":
-            a = np.maximum(a, 0.0)
-        elif spec.kind == "flatten":
-            a = a.reshape(n, -1)
-        if idx in depth_set:
-            blocks[idx] = a.copy()
-    return [check_finite(blocks[idx], f"pre-activations of layer {idx}")
-            for idx in net.depth_map]
+    return [check_finite(a, f"pre-activations of layer {idx}")
+            for idx, a, _ in _walk(net, batch) if idx in net.depth_map]
 
 
 def softmax(logits):
@@ -335,7 +324,10 @@ def loss_and_gradients(net, batch, labels):
     Returns (loss, grads, logits) with grads keyed like net.params.
     """
     labels = _check_labels(labels, net.n_classes)
-    logits, _, caches = _run_forward(net, batch, record=False, keep_cache=True)
+    caches = []
+    for idx, logits, cache in _walk(net, batch):
+        caches.append((idx, cache))
+    check_finite(logits, "logits")
     n = logits.shape[0]
     loss = cross_entropy(logits, labels)
 
@@ -344,18 +336,16 @@ def loss_and_gradients(net, batch, labels):
     grad = probs / n
 
     grads = {}
-    for kind, idx, cache in reversed(caches):
-        if kind == "dense":
-            a_prev = cache
-            spec = net.specs[idx]
-            g = {"W": a_prev.T @ grad}
+    for idx, cache in reversed(caches):
+        spec = net.specs[idx]
+        if spec.kind == "dense":
+            g = {"W": cache.T @ grad}
             if spec.bias:
                 g["b"] = grad.sum(axis=0)
             grads[idx] = g
             grad = grad @ net.params[idx]["W"].T
-        elif kind == "conv2d":
+        elif spec.kind == "conv2d":
             cols, in_shape, oh, ow = cache
-            spec = net.specs[idx]
             w = net.params[idx]["W"]
             oc = w.shape[0]
             dpre = grad.transpose(0, 2, 3, 1).reshape(-1, oc)  # (n*oh*ow, oc)
@@ -365,9 +355,9 @@ def loss_and_gradients(net, batch, labels):
             grads[idx] = g
             dcols = dpre @ w.reshape(oc, -1)
             grad = _col2im(dcols, in_shape, spec.kernel, spec.stride, oh, ow)
-        elif kind == "relu":
+        elif spec.kind == "relu":
             grad = grad * (cache > 0)
-        elif kind == "flatten":
+        elif spec.kind == "flatten":
             grad = grad.reshape(cache)
     for idx in grads:
         for name, g in grads[idx].items():

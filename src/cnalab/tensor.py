@@ -7,15 +7,7 @@ NaN/Inf surfaces as an error instead of propagating into the metrics.
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
-
-
-def as_tensor(x):
-    """Coerce to a float64 array of rank 1-4."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim < 1 or arr.ndim > 4:
-        raise ShapeError(f"tensor rank must be 1-4, got {arr.ndim}")
-    return arr
+from .errors import NumericError
 
 
 def check_finite(arr, context):

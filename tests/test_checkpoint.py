@@ -1,7 +1,13 @@
 """Checkpoint format and resume-equivalence tests."""
 
+import functools
+import itertools
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnalab import nn
 from cnalab.checkpoint import load_checkpoint, save_checkpoint
@@ -94,3 +100,95 @@ def test_resume_equals_uninterrupted_run(tmp_path):
 
     for (_, _, a), (_, _, b) in zip(net_a.param_items(), ck.net.param_items()):
         assert a.tobytes() == b.tobytes()
+
+
+def bias_free_conv_setup():
+    rng = np.random.default_rng(3)
+    ds = LabeledDataset(rng.normal(size=(12, 1, 6, 6)), rng.integers(0, 3, 12), 3)
+    specs = [nn.conv2d(1, 2, 3, bias=False), nn.relu(), nn.flatten(),
+             nn.dense(2 * 4 * 4, 5, bias=False), nn.relu(), nn.dense(5, 3)]
+    net = nn.build_network(specs, 3, (1, 6, 6))
+    cfg = OptConfig(kind="adam", lr=0.01, batch_size=4)
+    return ds, net, cfg
+
+
+def test_roundtrip_bias_free_conv(tmp_path):
+    ds, net, cfg = bias_free_conv_setup()
+    state = init_opt_state(net, cfg)
+    train_epoch(net, ds, cfg, state, 1, 1)
+    path = tmp_path / "ck.cnac"
+    save_checkpoint(net, cfg, state, 1, path)
+    ck = load_checkpoint(path)
+    assert [(i, n) for i, n, _ in ck.net.param_items()] == [(0, "W"), (3, "W"), (5, "W"),
+                                                            (5, "b")]
+    for (_, _, a), (_, _, b) in zip(net.param_items(), ck.net.param_items()):
+        assert a.tobytes() == b.tobytes()
+    assert ck.net.layer_shapes == net.layer_shapes
+    assert ck.net.depth_map == net.depth_map == [0, 3]
+    assert ck.opt_state.m.keys() == state.m.keys() and ck.opt_state.m[0].keys() == {"W"}
+    assert nn.forward(ck.net, ds.inputs)[0].tobytes() == nn.forward(net, ds.inputs)[0].tobytes()
+
+
+def rewrite_metadata(path, edit):
+    """Apply edit to the parsed metadata of a checkpoint and write it back."""
+    raw = path.read_bytes()
+    meta_len = int(np.frombuffer(raw[8:12], dtype="<u4")[0])
+    meta = json.loads(raw[12:12 + meta_len])
+    edit(meta)
+    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:8] + np.uint32(len(meta_bytes)).tobytes() + meta_bytes
+                     + raw[12 + meta_len:])
+
+
+def test_load_rejects_param_shape_that_does_not_match_spec(tmp_path):
+    _, net, cfg = bias_free_conv_setup()
+    path = tmp_path / "ck.cnac"
+    save_checkpoint(net, cfg, init_opt_state(net, cfg), 0, path)
+
+    def reshape_first_kernel(meta):
+        assert meta["blocks"][0] == {"name": "param/0/W", "shape": [2, 1, 3, 3]}
+        meta["blocks"][0]["shape"] = [1, 2, 3, 3]     # same byte count, wrong layout
+    rewrite_metadata(path, reshape_first_kernel)
+    with pytest.raises(FormatError, match="do not match"):
+        load_checkpoint(path)
+
+
+def test_load_rejects_moments_that_do_not_match_params(tmp_path):
+    _, net, cfg = bias_free_conv_setup()
+    path = tmp_path / "ck.cnac"
+    save_checkpoint(net, cfg, init_opt_state(net, cfg), 0, path)
+    rewrite_metadata(path, lambda meta: meta["blocks"][4].update(name="adam_m/0/b"))
+    with pytest.raises(FormatError, match="moment"):
+        load_checkpoint(path)
+
+
+_FUZZ_FILES = itertools.count()
+
+
+@functools.cache
+def fuzz_base(directory):
+    _, net, cfg = bias_free_conv_setup()
+    path = directory / "base.cnac"
+    save_checkpoint(net, cfg, init_opt_state(net, cfg), 2, path, seeds={"init": 3})
+    return path.read_bytes()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(edits=st.lists(st.tuples(st.integers(0, 2 ** 16), st.integers(0, 255)),
+                      min_size=1, max_size=4))
+def test_corrupt_metadata_raises_only_format_error(tmp_path_factory, edits):
+    directory = tmp_path_factory.getbasetemp()
+    raw = bytearray(fuzz_base(directory))
+    meta_len = int(np.frombuffer(raw[8:12], dtype="<u4")[0])
+    for pos, byte in edits:
+        raw[12 + pos % meta_len] = byte
+    # a fresh name per example: rewriting one file in place forces a flush each time
+    path = directory / f"fuzz{next(_FUZZ_FILES)}.cnac"
+    path.write_bytes(bytes(raw))
+    try:
+        ck = load_checkpoint(path)
+    except FormatError:
+        return
+    finally:
+        path.unlink()
+    assert type(ck.epoch) is int and type(ck.opt_state.t) is int

@@ -319,3 +319,25 @@ def test_csv_round_trip(tmp_path):
     assert cols == ["a", "b", "c"]
     assert parsed[0] == ["1", "0.5", ""]
     assert float(parsed[1][1]) == float(np.pi)   # repr survives exactly
+
+
+def test_resume_skips_newest_checkpoint_with_corrupt_metadata(tmp_path):
+    full_path, full = toy_config(tmp_path, "full", epochs=3)
+    assert main(["train", "--config", str(full_path)]) == 0
+    part_path, part = toy_config(tmp_path, "part", epochs=2)
+    assert main(["train", "--config", str(part_path)]) == 0
+    newest = os.path.join(part["output_dir"], "ckpt_epoch0002.cnac")
+    raw = open(newest, "rb").read()
+    assert raw.count(b'"blocks"') == 1
+    with open(newest, "wb") as fh:
+        fh.write(raw.replace(b'"blocks"', b'"blockz"'))   # same length, key lost
+
+    more_path, _ = toy_config(tmp_path, "part", epochs=3)
+    assert main(["train", "--config", str(more_path)]) == 0
+    for e in (1, 2, 3):
+        name = f"record_epoch{e:04d}.json"
+        a = open(os.path.join(full["output_dir"], name), "rb").read()
+        b = open(os.path.join(part["output_dir"], name), "rb").read()
+        assert a == b
+    assert open(newest, "rb").read() == \
+        open(os.path.join(full["output_dir"], "ckpt_epoch0002.cnac"), "rb").read()

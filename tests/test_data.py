@@ -336,3 +336,20 @@ def test_label_validation():
         LabeledDataset(np.zeros((3, 2)), np.array([0, 1, 5]), 3)
     with pytest.raises(DataError):
         LabeledDataset(np.zeros((3, 2)), np.array([0, 1]), 3)
+
+
+def test_corrupted_suite_cell_shares_cached_inputs(fresh_corpus_cache):
+    from cnalab.harness import build_suite_cells
+    suite = {"grid": {"datasets": [{"name": "synthetic-shapes", "train_size": 40,
+                                    "test_size": 10, "seed": 9}],
+                      "corruptions": [0.0, 0.5], "archs": [{"name": "mlp", "hidden": [4]}]},
+             "output_root": "unused"}
+    clean_cell, corrupted_cell = build_suite_cells(suite)
+    clean, _ = resolve_datasets(clean_cell.dataset)
+    labels_before = clean.labels.copy()
+    corrupted, _ = resolve_datasets(corrupted_cell.dataset)
+    assert corrupted.inputs is clean.inputs
+    assert not corrupted.inputs.flags.writeable
+    assert not np.array_equal(corrupted.labels, clean.labels)
+    assert np.array_equal(clean.labels, labels_before)
+    assert np.array_equal(synthetic_shapes(40, seed=9).labels, labels_before)

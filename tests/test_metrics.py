@@ -430,3 +430,48 @@ def test_path_norm_matches_enumeration_oracle():
         specs = [nn.dense(dims[i], dims[i + 1], bias=False) for i in range(3)]
         net = nn.build_network(specs, int(rng.integers(1000)), (dims[0],))
         assert path_norm(net) == pytest.approx(brute_force_path_norm(net), rel=1e-10)
+
+
+def unrolled_conv_matrix(w, in_shape, stride):
+    """Dense matrix of a bias-free conv layer, built by looping over every
+    (input pixel, output unit) pair; columns follow the flatten order."""
+    oc, c, k, _ = w.shape
+    _, h, wd = in_shape
+    oh, ow = (h - k) // stride + 1, (wd - k) // stride + 1
+    m = np.zeros((c * h * wd, oc * oh * ow))
+    for o in range(oc):
+        for r in range(oh):
+            for s in range(ow):
+                for ch in range(c):
+                    for i in range(k):
+                        for j in range(k):
+                            row = (ch * h + r * stride + i) * wd + s * stride + j
+                            m[row, (o * oh + r) * ow + s] = w[o, ch, i, j]
+    return m
+
+
+def test_path_norm_bias_free_conv_matches_enumeration_oracle():
+    from types import SimpleNamespace
+    rng = np.random.default_rng(15)
+    for stride in (1, 2):
+        for _ in range(5):
+            c, oc = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+            oh = (5 - 3) // stride + 1
+            specs = [nn.conv2d(c, oc, 3, stride=stride, bias=False), nn.relu(), nn.flatten(),
+                     nn.dense(oc * oh * oh, 2, bias=False)]
+            net = nn.build_network(specs, int(rng.integers(1000)), (c, 5, 5))
+            mats = [unrolled_conv_matrix(net.params[0]["W"], (c, 5, 5), stride),
+                    net.params[3]["W"]]
+            oracle = brute_force_path_norm(SimpleNamespace(params={0: {"W": mats[0]},
+                                                                   1: {"W": mats[1]}}))
+            assert path_norm(net) == pytest.approx(oracle, rel=1e-12)
+
+
+def test_path_norm_single_bias_free_conv_hand_value():
+    net = nn.build_network([nn.conv2d(1, 1, 2, bias=False), nn.flatten(), nn.dense(1, 2)],
+                           0, (1, 2, 2), include_output=True)
+    net.params[0]["W"][:] = np.array([[[[1.0, -2.0], [3.0, 0.5]]]])
+    net.params[2]["W"][:] = np.array([[2.0, -1.0]])
+    net.params[2]["b"][:] = np.array([0.5, 3.0])
+    # 4 pixel paths of squared weight 1+4+9+0.25 through each output, plus the biases
+    assert path_norm(net) == 14.25 * (4.0 + 1.0) + 0.25 + 9.0

@@ -298,3 +298,44 @@ def test_backward_label_out_of_range():
     net = nn.build_network(mlp_specs(), 0, (4,))
     with pytest.raises(DataError):
         nn.backward(net, np.ones((1, 4)), [5])
+
+
+def bias_free_conv_specs():
+    return [nn.conv2d(2, 3, 3, stride=2, bias=False), nn.relu(), nn.conv2d(3, 2, 2), nn.relu(),
+            nn.flatten(), nn.dense(2 * 2 * 2, 3, bias=False)]
+
+
+def test_gradients_match_finite_differences_bias_free_conv():
+    rng = np.random.default_rng(9)
+    net = nn.build_network(bias_free_conv_specs(), 5, (2, 7, 7))
+    assert [(idx, name) for idx, name, _ in net.param_items()] == [(0, "W"), (2, "W"), (2, "b"),
+                                                                  (5, "W")]
+    randomize_biases(net, seed=6)
+    x = rng.normal(size=(4, 2, 7, 7))
+    y = rng.integers(0, 3, 4)
+    _, grads, _ = nn.loss_and_gradients(net, x, y)
+    assert {idx: sorted(g) for idx, g in grads.items()} == {0: ["W"], 2: ["W", "b"], 5: ["W"]}
+    assert finite_difference_check(net, x, y) < 1e-4
+
+
+def test_network_rejects_params_that_do_not_match_specs():
+    specs = bias_free_conv_specs()
+    good = nn.build_network(specs, 0, (2, 7, 7))
+    w0, w2, b2, w5 = (arr for _, _, arr in good.param_items())
+    bad = [
+        {0: {"W": np.zeros((3, 2, 2, 2))}, 2: {"W": w2, "b": b2}, 5: {"W": w5}},   # W shape
+        {0: {"W": w0, "b": np.zeros(3)}, 2: {"W": w2, "b": b2}, 5: {"W": w5}},    # stray b
+        {0: {"W": w0}, 2: {"W": w2}, 5: {"W": w5}},                              # missing b
+        {0: {"W": w0}, 2: {"W": w2, "b": b2}},                                   # missing layer
+        {0: {"W": w0}, 1: {"W": w0}, 2: {"W": w2, "b": b2}, 5: {"W": w5}},        # relu has W
+    ]
+    for params in bad:
+        with pytest.raises(ShapeError, match="do not match"):
+            nn.Network(specs=specs, params=params, input_shape=(2, 7, 7))
+    net = nn.Network(specs=specs, params=good.params, input_shape=[2, 7, 7])
+    assert net.input_shape == (2, 7, 7)
+    assert net.layer_shapes == good.layer_shapes == [(3, 3, 3), (3, 3, 3), (2, 2, 2), (2, 2, 2),
+                                                     (8,), (3,)]
+    assert net.depth_map == good.depth_map == [0, 2]
+    with pytest.raises(ValueError, match="aggregation"):
+        nn.Network(specs=specs, params=good.params, input_shape=(2, 7, 7), aggregation="max")
