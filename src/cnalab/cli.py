@@ -6,7 +6,8 @@
     cnalab report --runs GLOB [--out DIR]
     cnalab metrics --checkpoint F --data SPEC
 
-Exit codes: 0 ok, 2 config parse error, 3 data/format/shape error,
+Exit codes: 0 ok, 2 config error (unreadable or non-object --config/--data
+JSON, a dataset spec without a name), 3 data/format/shape or OS error,
 4 numeric failure or undefined correlation.
 """
 
@@ -14,9 +15,11 @@ import argparse
 import json
 import sys
 
-from .config import load_config
+from .checkpoint import load_checkpoint
+from .config import MetricOptions, load_config, read_json, resolve_datasets
 from .errors import (ConfigError, ConvergenceError, DataError, FormatError,
                      NumericError, ShapeError, UndefinedCorrelationError)
+from .metrics import gap_metric_set
 
 
 def cmd_train(args):
@@ -29,15 +32,8 @@ def cmd_train(args):
 
 
 def cmd_suite(args):
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            suite = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"suite config not found: {args.config}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{args.config}: invalid JSON ({exc})") from exc
     from .harness import make_report, run_suite
-    summary, output_root = run_suite(suite, jobs=args.jobs)
+    summary, output_root = run_suite(read_json(args.config), jobs=args.jobs)
     try:
         make_report(f"{output_root}/**/record_epoch*.json", output_root)
     except DataError as exc:
@@ -58,16 +54,11 @@ def cmd_report(args):
 
 
 def cmd_metrics(args):
-    from .checkpoint import load_checkpoint
-    from .config import MetricOptions, resolve_datasets
-    from .metrics import gap_metric_set
-
-    ck = load_checkpoint(args.checkpoint)
     try:
         spec = json.loads(args.data)
     except json.JSONDecodeError:
-        with open(args.data, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
+        spec = read_json(args.data)
+    ck = load_checkpoint(args.checkpoint)
     train_ds, test_ds = resolve_datasets(spec)
     opts = MetricOptions.from_dict(spec.get("metrics"))
     metrics = gap_metric_set(ck.net, train_ds, test_ds, opts.entropy,
@@ -118,7 +109,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, FormatError, ShapeError, FileNotFoundError) as exc:
+    except (DataError, FormatError, ShapeError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except (NumericError, ConvergenceError, UndefinedCorrelationError) as exc:

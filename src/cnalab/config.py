@@ -130,15 +130,23 @@ class ExperimentConfig:
                 "keep_checkpoints": self.keep_checkpoints}
 
 
-def load_config(path):
+def read_json(path):
+    """The JSON object in the file at path. Raises ConfigError when the
+    file cannot be read, is not UTF-8 JSON, or holds no object at top level."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:       # JSONDecodeError or UnicodeDecodeError
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return ExperimentConfig.from_dict(obj)
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: top level must be a JSON object")
+    return obj
+
+
+def load_config(path):
+    return ExperimentConfig.from_dict(read_json(path))
 
 
 def _require_file(path, what):
@@ -158,6 +166,8 @@ def resolve_datasets(dataset_cfg):
     train_size+test_size points and splits head/tail so a held-out noise
     set exists. Corruption, when requested, touches training labels only.
     """
+    if not isinstance(dataset_cfg, dict) or "name" not in dataset_cfg:
+        raise ConfigError("dataset spec must be a JSON object with a \"name\"")
     name = dataset_cfg["name"]
     seed = int(dataset_cfg.get("seed", 0))
     train_size = dataset_cfg.get("train_size")

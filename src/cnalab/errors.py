@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError,
-FormatError and ShapeError -> 3, NumericError, ConvergenceError and
-UndefinedCorrelationError -> 4.
+FormatError, ShapeError (and any OSError) -> 3, NumericError,
+ConvergenceError and UndefinedCorrelationError -> 4.
 """
 
 

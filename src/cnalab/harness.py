@@ -16,15 +16,16 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .analysis import (ALL_NETS, Trajectory, TrajectorySample, cna_landscape,
-                       complexity_bins, gap_correlation_report, pca2, record_state)
+from .analysis import (ALL_NETS, Trajectory, TrajectorySample, binned_error_curves,
+                       cna_landscape, complexity_bins, gap_correlation_report, pca2,
+                       record_state)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, arch_id, build_arch, resolve_datasets
-from .csvio import write_csv
+from .csvio import read_csv, write_csv
 from .errors import CnaLabError, ConfigError, DataError
 from .metrics import entropy_vector, gap_metric_set
 from .nn import build_network
-from .optim import evaluate, init_opt_state, train_epoch
+from .optim import init_opt_state, score, trace_over_dataset, train_epoch
 from .records import RunRecord, read_record, write_record
 from .rng import seeded_rng
 from .svg import grouped_bars_svg, landscape_svg, scatter_svg
@@ -112,11 +113,14 @@ def run_training(cfg, log=print):
                                     cfg.shuffle_seed, epoch, on_batch=on_batch)
 
         if epoch % cfg.snapshot_interval == 0 or epoch == cfg.epochs:
-            train_acc, _, _ = evaluate(net, train_ds)
-            test_acc, test_loss, flags = evaluate(net, test_ds)
+            train_pass = trace_over_dataset(net, train_ds.inputs)
+            test_pass = trace_over_dataset(net, test_ds.inputs)
+            train_acc = score(train_pass[1], train_ds.labels)[0]
+            test_acc, test_loss, flags = score(test_pass[1], test_ds.labels)
             metrics = gap_metric_set(net, train_ds, test_ds, opts.entropy,
                                      opts.margin_percentile, opts.cna_split,
-                                     train_alphas=train_alphas, test_alphas=test_alphas)
+                                     train_alphas=train_alphas, test_alphas=test_alphas,
+                                     train_pass=train_pass, test_pass=test_pass)
             record = RunRecord(
                 dataset=cfg.dataset["name"], arch=arch_id(cfg.arch),
                 corruption=float(cfg.dataset.get("corruption", 0.0)), epoch=epoch,
@@ -124,9 +128,10 @@ def run_training(cfg, log=print):
                 metrics=metrics.to_dict(),
                 extra={"train_loss": train_loss, "test_loss": test_loss})
             write_record(record, record_path(cfg.output_dir, epoch))
-            for b in range(bins.q):
-                curve_rows.append((epoch, b, float(flags[bins.bin_indices[b]].mean())))
-            _write_curves(cfg.output_dir, curve_rows)
+            curve = binned_error_curves(flags[None], bins).curves[:, 0]
+            curve_rows.extend((epoch, b, float(v)) for b, v in enumerate(curve))
+            write_csv(os.path.join(cfg.output_dir, "curves.csv"), "curves",
+                      ("epoch", "bin", "mean_error"), curve_rows)
             save_checkpoint(net, cfg.optimizer, opt_state, epoch,
                             ckpt_path(cfg.output_dir, epoch, cfg.keep_checkpoints),
                             seeds={"init": cfg.init_seed, "shuffle": cfg.shuffle_seed})
@@ -140,16 +145,10 @@ def run_training(cfg, log=print):
     return snapshots
 
 
-def _write_curves(out_dir, rows):
-    write_csv(os.path.join(out_dir, "curves.csv"), "curves",
-              ("epoch", "bin", "mean_error"), rows)
-
-
 def _load_curves(out_dir, up_to_epoch):
     path = os.path.join(out_dir, "curves.csv")
     if not os.path.exists(path) or up_to_epoch == 0:
         return []
-    from .csvio import read_csv
     _, _, rows = read_csv(path)
     return [(int(e), int(b), float(v)) for e, b, v in rows if int(e) <= up_to_epoch]
 

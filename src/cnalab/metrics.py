@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DataError, UndefinedCorrelationError
-from .nn import _walk, forward
-from .optim import iter_batches
+from .nn import _walk
+from .optim import trace_over_dataset
 
 
 @dataclass(frozen=True)
@@ -124,19 +124,6 @@ def pearson(a, b, names=("a", "b")):
     return float(np.clip(rho, -1.0, 1.0))
 
 
-def trace_over_dataset(net, inputs, batch_size=512):
-    """Recorded (N, L) pre-activation aggregates plus logits, batched in a
-    fixed order so the result is independent of batch size."""
-    n = inputs.shape[0]
-    logits_parts = []
-    z_parts = []
-    for batch_idx in iter_batches(n, batch_size):
-        logits, trace = forward(net, inputs[batch_idx], record=True)
-        logits_parts.append(logits)
-        z_parts.append(trace.z)
-    return np.vstack(z_parts), np.vstack(logits_parts)
-
-
 def cna(net, inputs, cfg=EntropyConfig(), alphas=None):
     """Pearson correlation between input entropy and activation slope.
 
@@ -144,8 +131,6 @@ def cna(net, inputs, cfg=EntropyConfig(), alphas=None):
     inputs (it does not change over training, so callers computing the
     CNA every epoch pass it in).
     """
-    if inputs.shape[0] < 2:
-        raise DataError("cna needs at least 2 datapoints")
     if alphas is None:
         alphas = entropy_vector(inputs, cfg)
     return _cna(alphas, trace_over_dataset(net, inputs)[0])
@@ -189,8 +174,6 @@ def margin_factor(margins, percentile=10.0):
 
 def cna_margin(net, train_ds, cfg=EntropyConfig(), percentile=10.0, alphas=None):
     """CNA on the training set scaled by the clamped normalized margin."""
-    if len(train_ds) < 2:
-        raise DataError("cna_margin needs at least 2 datapoints")
     if alphas is None:
         alphas = entropy_vector(train_ds.inputs, cfg)
     z, logits = trace_over_dataset(net, train_ds.inputs)
@@ -303,7 +286,8 @@ class GapMetricSet:
 
 
 def gap_metric_set(net, train_ds, test_ds, cfg=EntropyConfig(), percentile=10.0,
-                   cna_split="test", train_alphas=None, test_alphas=None):
+                   cna_split="test", train_alphas=None, test_alphas=None,
+                   train_pass=None, test_pass=None):
     """Compute the full metric set for one trained snapshot.
 
     CNA uses the test inputs by default (gap prediction stays a priori
@@ -312,16 +296,18 @@ def gap_metric_set(net, train_ds, test_ds, cfg=EntropyConfig(), percentile=10.0,
     None rather than being imputed. Normalized norm metrics stay None
     when the percentile training margin is not positive.
 
-    Entropy vectors are constant over training, so per-epoch callers pass
-    train_alphas/test_alphas to skip recomputing them.
+    Per-epoch callers pass the entropy vectors (constant over training)
+    and the (z, logits) passes they scored accuracy on as train_alphas/
+    test_alphas and train_pass/test_pass; each is computed when absent.
     """
     if train_alphas is None:
         train_alphas = entropy_vector(train_ds.inputs, cfg)
-    z_tr, logits_tr = trace_over_dataset(net, train_ds.inputs)
-    margins = margin_vector(logits_tr, train_ds.labels)
+    if train_pass is None:
+        train_pass = trace_over_dataset(net, train_ds.inputs)
+    margins = margin_vector(train_pass[1], train_ds.labels)
     out = GapMetricSet(**_norms(net, float(np.percentile(margins, percentile))))
     try:
-        base = _cna(train_alphas, z_tr)
+        base = _cna(train_alphas, train_pass[0])
         out.cna_margin = _margin_scaled(base, margins, percentile)
         if cna_split == "train":
             out.cna = base
@@ -330,8 +316,10 @@ def gap_metric_set(net, train_ds, test_ds, cfg=EntropyConfig(), percentile=10.0,
     if cna_split == "test":
         if test_alphas is None:
             test_alphas = entropy_vector(test_ds.inputs, cfg)
+        if test_pass is None:
+            test_pass = trace_over_dataset(net, test_ds.inputs)
         try:
-            out.cna = _cna(test_alphas, trace_over_dataset(net, test_ds.inputs)[0])
+            out.cna = _cna(test_alphas, test_pass[0])
         except UndefinedCorrelationError:
             pass
     return out

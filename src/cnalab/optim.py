@@ -1,4 +1,5 @@
-"""SGD and Adam updates, epoch training loop, and evaluation."""
+"""SGD and Adam updates, the epoch training loop, and evaluation: one
+batched recorded pass (trace_over_dataset) whose logits score() reads."""
 
 from dataclasses import dataclass, field
 
@@ -114,23 +115,33 @@ def train_epoch(net, train_ds, cfg, state, shuffle_seed, epoch, on_batch=None):
     return loss_sum / n, correct / n
 
 
-def evaluate(net, ds, batch_size=512):
-    """Accuracy, mean loss, and per-datapoint error flags.
+def trace_over_dataset(net, inputs, batch_size=512):
+    """The batched evaluation pass: recorded (N, L) pre-activation aggregates
+    and logits, in a fixed batch order so the result is batch-size independent."""
+    n = inputs.shape[0]
+    if n == 0:
+        raise DataError("cannot evaluate an empty dataset")
+    passes = [forward(net, inputs[b], record=True) for b in iter_batches(n, batch_size)]
+    return np.vstack([trace.z for _, trace in passes]), np.vstack([lg for lg, _ in passes])
+
+
+def score(logits, labels, batch_size=512):
+    """Accuracy, mean loss, and per-datapoint error flags of a pass's logits.
 
     Predictions use argmax with the lowest class index winning ties
     (numpy's argmax convention). flags[i] is True where point i is
-    misclassified, so accuracy == 1 - mean(flags).
+    misclassified, so accuracy == 1 - mean(flags). The loss adds up each
+    batch_size-row slice's mean cross-entropy times its rows, in order.
     """
-    n = len(ds.labels)
-    if n == 0:
-        raise DataError("cannot evaluate an empty dataset")
-    flags = np.zeros(n, dtype=bool)
-    loss_sum = 0.0
-    for batch_idx in iter_batches(n, batch_size):
-        logits, _ = forward(net, ds.inputs[batch_idx])
-        preds = np.argmax(logits, axis=1)
-        flags[batch_idx] = preds != ds.labels[batch_idx]
-        loss_sum += cross_entropy(logits, ds.labels[batch_idx]) * len(batch_idx)
+    n = len(labels)
+    flags = np.argmax(logits, axis=1) != labels
+    loss_sum = sum(cross_entropy(logits[b], labels[b]) * len(b)
+                   for b in iter_batches(n, batch_size))
     # direct count ratio: exact chance-level values on balanced sets
     accuracy = float(n - int(flags.sum())) / n
     return accuracy, loss_sum / n, flags
+
+
+def evaluate(net, ds, batch_size=512):
+    """Accuracy, mean loss, and error flags of ds: score() of one pass."""
+    return score(trace_over_dataset(net, ds.inputs, batch_size)[1], ds.labels, batch_size)

@@ -341,3 +341,82 @@ def test_resume_skips_newest_checkpoint_with_corrupt_metadata(tmp_path):
         assert a == b
     assert open(newest, "rb").read() == \
         open(os.path.join(full["output_dir"], "ckpt_epoch0002.cnac"), "rb").read()
+
+
+def test_snapshot_forwards_each_split_once(tmp_path, monkeypatch):
+    import sys
+    from cnalab import nn
+    original = nn.forward
+    rows = []
+
+    def counting_forward(net, batch, record=False):
+        rows.append(len(batch))
+        return original(net, batch, record)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cnalab") and getattr(module, "forward", None) is original:
+            monkeypatch.setattr(module, "forward", counting_forward)
+    cfg_path, _ = toy_config(tmp_path, "rows", epochs=2)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    # two snapshots, each forwarding the 150 training and 80 test rows once
+    assert sum(rows) == 2 * (150 + 80)
+
+
+def test_train_split_record_matches_direct_evaluation(tmp_path):
+    from cnalab.checkpoint import load_checkpoint
+    from cnalab.config import MetricOptions, resolve_datasets
+    from cnalab.metrics import gap_metric_set
+    from cnalab.optim import evaluate
+    cfg_path, cfg = toy_config(tmp_path, "trainsplit", metrics={"cna_split": "train"})
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    rec = read_record(os.path.join(cfg["output_dir"], "record_epoch0001.json"))
+    net = load_checkpoint(os.path.join(cfg["output_dir"], "ckpt_epoch0001.cnac")).net
+    train_ds, test_ds = resolve_datasets(cfg["dataset"])
+    opts = MetricOptions.from_dict(cfg["metrics"])
+    train_acc, _, _ = evaluate(net, train_ds)
+    test_acc, test_loss, _ = evaluate(net, test_ds)
+    expected = gap_metric_set(net, train_ds, test_ds, opts.entropy, opts.margin_percentile,
+                              opts.cna_split)
+    assert (rec.train_acc, rec.test_acc, rec.gap) == (train_acc, test_acc, train_acc - test_acc)
+    assert rec.extra["test_loss"] == test_loss
+    assert rec.metrics == expected.to_dict()
+    assert rec.metrics["cna"] is not None and rec.metrics["cna_margin"] is not None
+
+
+DIGITS_SPEC = json.dumps({"name": "synthetic-digits", "train_size": 20, "test_size": 10,
+                          "seed": 7})
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["metrics", "--checkpoint", "CKPT", "--data", "BAD_JSON"], 2),
+    (["metrics", "--checkpoint", "CKPT", "--data", "DIR"], 2),
+    (["metrics", "--checkpoint", "CKPT", "--data", "MISSING"], 2),
+    (["metrics", "--checkpoint", "CKPT", "--data", "BINARY"], 2),
+    (["metrics", "--checkpoint", "CKPT", "--data", "[1]"], 2),
+    (["metrics", "--checkpoint", "CKPT", "--data", '{"train_size": 3}'], 2),
+    (["metrics", "--checkpoint", "DIR", "--data", DIGITS_SPEC], 3),
+    (["train", "--config", "DIR"], 2),
+    (["train", "--config", "LIST"], 2),
+    (["suite", "--config", "DIR"], 2),
+    (["suite", "--config", "BAD_JSON"], 2),
+    (["suite", "--config", "LIST"], 2),
+], ids=["data-bad-json", "data-dir", "data-missing", "data-binary", "data-list",
+        "data-no-name", "checkpoint-dir", "train-dir", "train-list", "suite-dir",
+        "suite-bad-json", "suite-list"])
+def test_unreadable_inputs_exit_with_their_code_and_no_traceback(tmp_path, capsys, argv, code):
+    from cnalab import nn
+    from cnalab.checkpoint import save_checkpoint
+    from cnalab.optim import OptConfig, init_opt_state
+    net = nn.build_network([nn.flatten(), nn.dense(784, 8), nn.relu(), nn.dense(8, 10)],
+                           0, (1, 28, 28))
+    paths = {name: tmp_path / name for name in
+             ("CKPT", "BAD_JSON", "DIR", "MISSING", "BINARY", "LIST")}
+    save_checkpoint(net, OptConfig(), init_opt_state(net, OptConfig()), 1, paths["CKPT"])
+    paths["BAD_JSON"].write_text("{ not json")
+    paths["DIR"].mkdir()
+    paths["BINARY"].write_bytes(b"\xff\xfe{}")
+    paths["LIST"].write_text("[1]")
+    assert main([str(paths.get(a, a)) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error:" if code == 2 else "data error:")
+    assert "Traceback" not in err

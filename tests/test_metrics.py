@@ -475,3 +475,46 @@ def test_path_norm_single_bias_free_conv_hand_value():
     net.params[2]["b"][:] = np.array([0.5, 3.0])
     # 4 pixel paths of squared weight 1+4+9+0.25 through each output, plus the biases
     assert path_norm(net) == 14.25 * (4.0 + 1.0) + 0.25 + 9.0
+
+
+# --- gap_metric_set ---------------------------------------------------------
+
+def test_gap_metric_set_reuses_the_passes_it_is_given(monkeypatch):
+    from cnalab import metrics
+    net = nn.build_network([nn.dense(4, 6), nn.relu(), nn.dense(6, 6), nn.relu(),
+                            nn.dense(6, 3)], 5, (4,))
+    rng = np.random.default_rng(8)
+    x_train, x_test = rng.uniform(size=(40, 4)), rng.uniform(size=(30, 4))
+    # labels the net already predicts, so margins are positive and every metric defined
+    train = LabeledDataset(x_train, trace_over_dataset(net, x_train)[1].argmax(axis=1), 3)
+    test = LabeledDataset(x_test, rng.integers(0, 3, size=30), 3)
+    for split in ("train", "test"):
+        expected = metrics.gap_metric_set(net, train, test, cna_split=split)
+        assert None not in expected.to_dict().values()
+        passes = {"train_pass": trace_over_dataset(net, train.inputs),
+                  "test_pass": trace_over_dataset(net, test.inputs)}
+        with monkeypatch.context() as m:
+            m.setattr(metrics, "trace_over_dataset", None)    # any call would fail
+            got = metrics.gap_metric_set(net, train, test, cna_split=split, **passes)
+        assert got.to_dict() == expected.to_dict()
+
+
+def test_gap_metric_set_on_an_empty_split_raises_data_error():
+    from cnalab.metrics import gap_metric_set
+    net = scaling_linear_net()
+    full = LabeledDataset(graded_dataset(), np.array([0, 1, 2, 3, 0, 1]), 4)
+    empty = LabeledDataset(np.zeros((0, 4)), np.zeros(0, dtype=int), 4)
+    with pytest.raises(DataError):
+        gap_metric_set(net, full, empty)
+    with pytest.raises(DataError):
+        gap_metric_set(net, empty, full)
+
+
+def test_cna_and_cna_margin_reject_fewer_than_two_datapoints():
+    net = scaling_linear_net()
+    for n in (0, 1):
+        ds = LabeledDataset(graded_dataset()[:n], np.zeros(n, dtype=int), 4)
+        with pytest.raises(DataError):
+            cna(net, ds.inputs)
+        with pytest.raises(DataError):
+            cna_margin(net, ds)

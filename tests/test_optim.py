@@ -6,7 +6,8 @@ import pytest
 from cnalab import nn
 from cnalab.data import LabeledDataset
 from cnalab.errors import DataError
-from cnalab.optim import OptConfig, evaluate, init_opt_state, train_epoch
+from cnalab.optim import (OptConfig, evaluate, init_opt_state, iter_batches, score,
+                          trace_over_dataset, train_epoch)
 
 
 def separable_toy(n=40, seed=0):
@@ -130,3 +131,33 @@ def test_perfect_memorizer_reaches_one():
         if evaluate(net, ds)[0] == 1.0:
             break
     assert evaluate(net, ds)[0] == 1.0
+
+
+def test_evaluate_is_the_scored_pass_bitwise_on_ragged_batches():
+    # 1100 rows make batches of 512, 512 and 76
+    rng = np.random.default_rng(3)
+    ds = LabeledDataset(rng.normal(size=(1100, 2)) * 3.0, rng.integers(0, 2, size=1100), 2)
+    net = tiny_net(seed=4)
+    acc, loss, flags = evaluate(net, ds)
+    z, logits = trace_over_dataset(net, ds.inputs)
+    assert z.shape == (1100, net.n_layers) and logits.shape == (1100, 2)
+    s_acc, s_loss, s_flags = score(logits, ds.labels)
+    assert (acc, loss) == (s_acc, s_loss)
+    assert np.array_equal(flags, s_flags)
+    # the unrecorded per-batch loop gives the same bytes
+    loss_sum, ref_flags = 0.0, np.zeros(1100, dtype=bool)
+    for b in iter_batches(1100, 512):
+        out, _ = nn.forward(net, ds.inputs[b])
+        ref_flags[b] = np.argmax(out, axis=1) != ds.labels[b]
+        loss_sum += nn.cross_entropy(out, ds.labels[b]) * len(b)
+    assert loss == loss_sum / 1100
+    assert np.array_equal(flags, ref_flags)
+    assert acc == (1100 - int(ref_flags.sum())) / 1100
+
+
+def test_the_pass_rejects_empty_inputs():
+    net = tiny_net()
+    with pytest.raises(DataError):
+        trace_over_dataset(net, np.zeros((0, 2)))
+    with pytest.raises(DataError):
+        evaluate(net, LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2))
