@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, UndefinedCorrelationError
-from .metrics import _cna, pearson
-from .nn import forward
+from .metrics import METRIC_NAMES, _cna, pearson
+from .nn import forward, layer_preactivations
 
 
 @dataclass
@@ -55,7 +55,6 @@ def record_state(net, probe, step, loss, full_neurons=False):
     tiny networks and is not consumed by the landscape pipeline.
     """
     if full_neurons:
-        from .nn import layer_preactivations
         blocks = layer_preactivations(net, probe)
         state = np.concatenate([b.reshape(b.shape[0], -1) for b in blocks], axis=1)
         return TrajectorySample(step=int(step), state=state.ravel(), loss=float(loss))
@@ -239,7 +238,6 @@ def gap_correlation_report(runs, metric_names=None, min_runs=3, group_by="arch")
     invariant under permutation of the input order. Cells with fewer than
     min_runs defined values or zero variance are flagged undefined.
     """
-    from .metrics import METRIC_NAMES
     if metric_names is None:
         metric_names = METRIC_NAMES
     if group_by not in ("arch", "dataset"):

@@ -17,7 +17,7 @@ with tobytes() and read back with frombuffer(), no text formatting.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -55,13 +55,13 @@ def save_checkpoint(net, opt_config, opt_state, epoch, path, seeds=None):
                 arrays.append(arr)
 
     meta = {
-        "specs": [s.to_dict() for s in net.specs],
+        "specs": [asdict(s) for s in net.specs],
         "input_shape": list(net.input_shape),
         "aggregation": net.aggregation,
         "include_output": net.include_output,
         "init_seed": net.init_seed,
         "epoch": int(epoch),
-        "opt": opt_config.to_dict(),
+        "opt": asdict(opt_config),
         "opt_t": int(opt_state.t),
         "seeds": seeds or {},
         "blocks": blocks,
@@ -120,8 +120,8 @@ def _from_meta(meta, raw, offset, version):
     if any(table and _layout(table) != _layout(params) for table in (state.m, state.v)):
         raise FormatError("optimizer moment blocks do not match the parameters")
 
-    net = Network(specs=[LayerSpec.from_dict(d) for d in meta["specs"]], params=params,
+    net = Network(specs=[LayerSpec(**d) for d in meta["specs"]], params=params,
                   input_shape=meta["input_shape"], aggregation=meta["aggregation"],
                   include_output=meta["include_output"], init_seed=meta["init_seed"])
-    return Checkpoint(version=version, net=net, opt_config=OptConfig.from_dict(meta["opt"]),
+    return Checkpoint(version=version, net=net, opt_config=OptConfig(**meta["opt"]),
                       opt_state=state, epoch=meta["epoch"], seeds=meta.get("seeds", {}))

@@ -7,8 +7,8 @@
     cnalab metrics --checkpoint F --data SPEC
 
 Exit codes: 0 ok, 2 config error (unreadable or non-object --config/--data
-JSON, a dataset spec without a name), 3 data/format/shape or OS error,
-4 numeric failure or undefined correlation.
+JSON, a missing field, or a field value of the wrong type or out of range),
+3 data/format/shape or OS error, 4 numeric failure or undefined correlation.
 """
 
 import argparse
@@ -60,7 +60,7 @@ def cmd_metrics(args):
         spec = read_json(args.data)
     ck = load_checkpoint(args.checkpoint)
     train_ds, test_ds = resolve_datasets(spec)
-    opts = MetricOptions.from_dict(spec.get("metrics"))
+    opts = MetricOptions.from_dict(spec.get("metrics") or {})
     metrics = gap_metric_set(ck.net, train_ds, test_ds, opts.entropy,
                              opts.margin_percentile, opts.cna_split)
     print(json.dumps(metrics.to_dict(), indent=2))

@@ -3,13 +3,16 @@ dataset/architecture specs into concrete objects.
 
 Configs are flat JSON files (no environment-variable overrides) so a
 config plus its seeds fully determines every output byte. See
-docs/config.md for the schema.
+docs/config.md for the schema. One reader, _read, builds each section's
+dataclass: a field present and not null is converted by its annotated
+type, the others keep their defaults, and __post_init__ checks them. A
+malformed value is a ConfigError that names its field.
 """
 
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 from . import data as data_mod
 from . import nn
@@ -20,6 +23,85 @@ from .optim import OptConfig
 DATASET_NAMES = ("mnist", "fashion-mnist", "synthetic-digits", "synthetic-shapes",
                  "gaussian-noise")
 
+# The (least, most) value of each numeric config field, in whichever section
+# it appears; a field with int bounds holds an int. Dataset sizes of 0 mean
+# the corpus default; hidden and channels hold one width per layer.
+LIMITS = dict.fromkeys(("epochs", "snapshot_interval", "probe_size", "kernel", "stride",
+                        "hidden", "channels"), (1, math.inf)) \
+    | dict.fromkeys(("init_seed", "shuffle_seed", "probe_seed", "seed", "corruption_seed",
+                     "train_size", "test_size"), (0, math.inf)) \
+    | {"corruption": (0.0, 0.5), "margin_percentile": (0.0, 100.0)}
+LAYER_WIDTHS = ("hidden", "channels")
+# The values each string config field may take.
+CHOICES = {"aggregation": ("mean", "sum"), "cna_split": ("test", "train"),
+           "keep_checkpoints": ("all", "latest")}
+
+# The fields each architecture reads, with their defaults.
+_ARCH_DEFAULTS = {"mlp": {"hidden": [128, 128]},
+                  "cnn": {"channels": [4, 8], "kernel": 5, "stride": 2}}
+
+
+def as_type(tp, value, path):
+    """value converted by tp, or a ConfigError naming path. dict, list and
+    str take only JSON objects, arrays and strings."""
+    try:
+        if tp in (dict, list, str) and not isinstance(value, tp):
+            raise TypeError
+        return tp(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{path}: expected {tp.__name__}, got {value!r}") from None
+
+
+def _check(section, path=""):
+    """Check the fields of a section (a dict) against LIMITS and CHOICES; a
+    null field counts as absent."""
+    for key, value in section.items():
+        name = f"{path}.{key}" if path else key
+        if value is not None and key in CHOICES and value not in CHOICES[key]:
+            raise ConfigError(f"{name} must be one of {CHOICES[key]}, got {value!r}")
+        if value is not None and key in LIMITS:
+            least, most = LIMITS[key]
+            for item in as_type(list, value, name) if key in LAYER_WIDTHS else [value]:
+                if not least <= as_type(type(least), item, name) <= most:
+                    raise ConfigError(f"{name} must lie in [{least}, {most}], got {value!r}")
+
+
+def _read(cls, obj, path=""):
+    """A cls built from the JSON object obj, found at path in the config."""
+    unknown = as_type(dict, obj, path or "config").keys() - {f.name for f in fields(cls)}
+    if cls is OptConfig and unknown:    # other sections ignore unknown keys
+        raise ConfigError(f"{path}: unknown field(s) {sorted(unknown)}")
+    kwargs = {}
+    try:
+        for f in fields(cls):
+            name = f"{path}.{f.name}" if path else f.name
+            if f.type is EntropyConfig:
+                kwargs[f.name] = _entropy(obj, path)
+            elif obj.get(f.name) is not None:
+                kwargs[f.name] = _read(f.type, obj[f.name], name) if is_dataclass(f.type) \
+                    else as_type(f.type, obj[f.name], name)
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"missing required field {name!r}")
+        return cls(**kwargs)
+    except ValueError as exc:       # the checks of EntropyConfig and OptConfig
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _entropy(section, path):
+    """The EntropyConfig that a metrics section's entropy_bins and
+    entropy_range ([lo, hi] or "per-datapoint") give."""
+    bins, rng_spec = section.get("entropy_bins"), section.get("entropy_range")
+    kwargs = {} if bins is None else {"bins": as_type(int, bins, f"{path}.entropy_bins")}
+    if rng_spec == "per-datapoint":
+        kwargs.update(lo=None, hi=None)
+    elif rng_spec is not None:
+        if not (isinstance(rng_spec, list) and len(rng_spec) == 2):
+            raise ConfigError(f"{path}.entropy_range: expected [lo, hi] or "
+                              f"\"per-datapoint\", got {rng_spec!r}")
+        kwargs.update(zip(("lo", "hi"), (as_type(float, x, f"{path}.entropy_range")
+                                         for x in rng_spec)))
+    return EntropyConfig(**kwargs)
+
 
 @dataclass
 class MetricOptions:
@@ -29,49 +111,29 @@ class MetricOptions:
     cna_split: str = "test"
     margin_percentile: float = 10.0
 
+    def __post_init__(self):
+        _check(vars(self))
+
     @staticmethod
     def from_dict(d):
-        d = dict(d or {})
-        rng_spec = d.get("entropy_range", [0.0, 1.0])
-        if rng_spec == "per-datapoint":
-            lo = hi = None
-        else:
-            try:
-                lo, hi = float(rng_spec[0]), float(rng_spec[1])
-            except (TypeError, ValueError, IndexError):
-                raise ConfigError(f"bad entropy_range {rng_spec!r}") from None
-        try:
-            ecfg = EntropyConfig(bins=int(d.get("entropy_bins", 256)), lo=lo, hi=hi)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        opts = MetricOptions(entropy=ecfg,
-                             aggregation=d.get("aggregation", "mean"),
-                             include_output=bool(d.get("include_output", False)),
-                             cna_split=d.get("cna_split", "test"),
-                             margin_percentile=float(d.get("margin_percentile", 10.0)))
-        if opts.aggregation not in ("mean", "sum"):
-            raise ConfigError(f"aggregation must be mean or sum, got {opts.aggregation!r}")
-        if opts.cna_split not in ("train", "test"):
-            raise ConfigError(f"cna_split must be train or test, got {opts.cna_split!r}")
-        return opts
+        return _read(MetricOptions, d, "metrics")
 
     def to_dict(self):
-        rng_spec = "per-datapoint" if self.entropy.per_datapoint \
-            else [self.entropy.lo, self.entropy.hi]
-        return {"entropy_bins": self.entropy.bins, "entropy_range": rng_spec,
-                "aggregation": self.aggregation, "include_output": self.include_output,
-                "cna_split": self.cna_split, "margin_percentile": self.margin_percentile}
+        e = self.entropy
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "entropy"} | \
+            {"entropy_bins": e.bins,
+             "entropy_range": "per-datapoint" if e.per_datapoint else [e.lo, e.hi]}
 
 
 @dataclass
 class ExperimentConfig:
     dataset: dict
     arch: dict
-    optimizer: OptConfig
     epochs: int
-    snapshot_interval: int
-    metrics: MetricOptions
     output_dir: str
+    optimizer: OptConfig = field(default_factory=OptConfig)
+    snapshot_interval: int = 1
+    metrics: MetricOptions = field(default_factory=MetricOptions)
     init_seed: int = 1
     shuffle_seed: int = 2
     record_trajectory: bool = False
@@ -79,55 +141,17 @@ class ExperimentConfig:
     probe_seed: int = 99
     keep_checkpoints: str = "all"    # "all" (one per snapshot) or "latest"
 
+    def __post_init__(self):
+        _check(vars(self))
+        _check_spec(self.dataset, "dataset", DATASET_NAMES)
+        _arch_fields(self.arch)
+
     @staticmethod
     def from_dict(obj):
-        try:
-            dataset = dict(obj["dataset"])
-            arch = dict(obj["arch"])
-            epochs = int(obj["epochs"])
-            output_dir = obj["output_dir"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"config missing or malformed required field: {exc}") from exc
-        if dataset.get("name") not in DATASET_NAMES:
-            raise ConfigError(f"unknown dataset name {dataset.get('name')!r}; "
-                              f"known: {DATASET_NAMES}")
-        snapshot_interval = int(obj.get("snapshot_interval", 1))
-        if snapshot_interval < 1:
-            raise ConfigError("snapshot_interval must be >= 1")
-        corruption = float(dataset.get("corruption", 0.0))
-        if not 0.0 <= corruption <= 0.5:
-            raise ConfigError(f"corruption {corruption} outside [0, 0.5]")
-        if epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        try:
-            opt = OptConfig.from_dict(obj.get("optimizer", {"kind": "sgd", "lr": 0.01,
-                                                            "batch_size": 64}))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad optimizer config: {exc}") from exc
-        keep = obj.get("keep_checkpoints", "all")
-        if keep not in ("all", "latest"):
-            raise ConfigError(f"keep_checkpoints must be 'all' or 'latest', got {keep!r}")
-        return ExperimentConfig(
-            dataset=dataset, arch=arch, optimizer=opt, epochs=epochs,
-            snapshot_interval=snapshot_interval,
-            metrics=MetricOptions.from_dict(obj.get("metrics")),
-            output_dir=output_dir,
-            init_seed=int(obj.get("init_seed", 1)),
-            shuffle_seed=int(obj.get("shuffle_seed", 2)),
-            record_trajectory=bool(obj.get("record_trajectory", False)),
-            probe_size=int(obj.get("probe_size", 256)),
-            probe_seed=int(obj.get("probe_seed", 99)),
-            keep_checkpoints=keep)
+        return _read(ExperimentConfig, obj)
 
     def to_dict(self):
-        return {"dataset": self.dataset, "arch": self.arch,
-                "optimizer": self.optimizer.to_dict(), "epochs": self.epochs,
-                "snapshot_interval": self.snapshot_interval,
-                "metrics": self.metrics.to_dict(), "output_dir": self.output_dir,
-                "init_seed": self.init_seed, "shuffle_seed": self.shuffle_seed,
-                "record_trajectory": self.record_trajectory,
-                "probe_size": self.probe_size, "probe_seed": self.probe_seed,
-                "keep_checkpoints": self.keep_checkpoints}
+        return asdict(self) | {"metrics": self.metrics.to_dict()}
 
 
 def read_json(path):
@@ -149,8 +173,22 @@ def load_config(path):
     return ExperimentConfig.from_dict(read_json(path))
 
 
+def _check_spec(spec, section, names):
+    """spec, after checking its name against names and its fields (_check)."""
+    if not isinstance(spec, dict) or spec.get("name") not in names:
+        raise ConfigError(f"{section} must be a JSON object whose name is one of {names}, "
+                          f"got {spec!r}")
+    _check(spec, section)
+    return spec
+
+
+def corruption_of(spec):
+    """The fraction of training labels a checked dataset spec corrupts."""
+    return float(spec.get("corruption") or 0.0)
+
+
 def _require_file(path, what):
-    if not path:
+    if not path or not isinstance(path, str):
         raise ConfigError(f"dataset config missing {what} path")
     if not os.path.exists(path):
         raise DataError(f"{what} file not found: {path}")
@@ -166,12 +204,9 @@ def resolve_datasets(dataset_cfg):
     train_size+test_size points and splits head/tail so a held-out noise
     set exists. Corruption, when requested, touches training labels only.
     """
-    if not isinstance(dataset_cfg, dict) or "name" not in dataset_cfg:
-        raise ConfigError("dataset spec must be a JSON object with a \"name\"")
-    name = dataset_cfg["name"]
-    seed = int(dataset_cfg.get("seed", 0))
-    train_size = dataset_cfg.get("train_size")
-    test_size = dataset_cfg.get("test_size")
+    name = _check_spec(dataset_cfg, "dataset", DATASET_NAMES)["name"]
+    seed, train_size, test_size = (int(dataset_cfg.get(key) or 0)
+                                   for key in ("seed", "train_size", "test_size"))
 
     if name in ("mnist", "fashion-mnist"):
         train = data_mod.load_idx(_require_file(dataset_cfg.get("train_images"), "train images"),
@@ -179,54 +214,56 @@ def resolve_datasets(dataset_cfg):
         test = data_mod.load_idx(_require_file(dataset_cfg.get("test_images"), "test images"),
                                  _require_file(dataset_cfg.get("test_labels"), "test labels"))
         if train_size:
-            train = train.subset(range(min(int(train_size), len(train))))
+            train = train.subset(range(min(train_size, len(train))))
         if test_size:
-            test = test.subset(range(min(int(test_size), len(test))))
+            test = test.subset(range(min(test_size, len(test))))
     elif name in ("synthetic-digits", "synthetic-shapes"):
         gen = data_mod.synthetic_digits if name == "synthetic-digits" \
             else data_mod.synthetic_shapes
-        train = gen(int(train_size or 4000), seed, stream=0)
-        test = gen(int(test_size or 1000), seed, stream=1)
-    elif name == "gaussian-noise":
-        n_train = int(train_size or 1000)
-        n_test = int(test_size or n_train)
+        train = gen(train_size or 4000, seed, stream=0)
+        test = gen(test_size or 1000, seed, stream=1)
+    else:   # gaussian-noise
+        n_train = train_size or 1000
+        n_test = test_size or n_train
         full = data_mod.gaussian_noise_dataset(n_train + n_test, seed)
         train = full.subset(range(n_train), {"split": "train"})
         test = full.subset(range(n_train, n_train + n_test), {"split": "test"})
-    else:
-        raise ConfigError(f"unknown dataset name {name!r}")
 
-    corruption = float(dataset_cfg.get("corruption", 0.0))
+    corruption = corruption_of(dataset_cfg)
     if corruption > 0.0:
+        corruption_seed = dataset_cfg.get("corruption_seed")
         train = data_mod.corrupt_labels(train, corruption,
-                                        int(dataset_cfg.get("corruption_seed", seed)))
+                                        seed if corruption_seed is None else int(corruption_seed))
     return train, test
+
+
+def _arch_fields(arch_cfg):
+    """The checked arch spec's name and its fields, defaults filled in."""
+    name = _check_spec(arch_cfg, "arch", tuple(_ARCH_DEFAULTS))["name"]
+    return name, _ARCH_DEFAULTS[name] | {k: v for k, v in arch_cfg.items() if v is not None}
 
 
 def build_arch(arch_cfg, input_shape, classes):
     """Expand an architecture config section into a LayerSpec list."""
-    name = arch_cfg.get("name")
+    name, arch = _arch_fields(arch_cfg)
     specs = []
     if name == "mlp":
         if len(input_shape) != 1:
             specs.append(nn.flatten())
         n_in = math.prod(input_shape)
-        hidden = arch_cfg.get("hidden", [128, 128])
-        if not hidden:
+        if not arch["hidden"]:
             raise ConfigError("mlp needs at least one hidden layer (slope needs depth >= 2)")
-        for width in hidden:
+        for width in arch["hidden"]:
             specs.append(nn.dense(n_in, int(width)))
             specs.append(nn.relu())
             n_in = int(width)
         specs.append(nn.dense(n_in, classes))
-    elif name == "cnn":
+    else:   # cnn
         if len(input_shape) != 3:
             raise ConfigError(f"cnn needs (c, h, w) inputs, got shape {input_shape}")
-        channels = arch_cfg.get("channels", [4, 8])
-        kernel = int(arch_cfg.get("kernel", 5))
-        stride = int(arch_cfg.get("stride", 2))
+        kernel, stride = int(arch["kernel"]), int(arch["stride"])
         shape = tuple(input_shape)
-        for out_c in channels:
+        for out_c in arch["channels"]:
             if min(shape[1:]) < kernel:
                 raise ConfigError("cnn spatial size collapsed below 1x1; "
                                   "reduce depth, kernel, or stride")
@@ -235,15 +272,10 @@ def build_arch(arch_cfg, input_shape, classes):
             shape = nn._propagate_shape(specs[-2], shape)
         specs.append(nn.flatten())
         specs.append(nn.dense(math.prod(shape), classes))
-    else:
-        raise ConfigError(f"unknown architecture {name!r} (expected mlp or cnn)")
     return specs
 
 
 def arch_id(arch_cfg):
-    name = arch_cfg.get("name", "net")
-    if name == "mlp":
-        return "mlp-" + "x".join(str(w) for w in arch_cfg.get("hidden", [128, 128]))
-    if name == "cnn":
-        return "cnn-" + "x".join(str(c) for c in arch_cfg.get("channels", [4, 8]))
-    return name
+    """Short architecture name, e.g. mlp-128x128 or cnn-4x8."""
+    name, arch = _arch_fields(arch_cfg)
+    return name + "-" + "x".join(str(w) for w in arch["hidden" if name == "mlp" else "channels"])

@@ -13,6 +13,7 @@ import glob
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 
@@ -20,7 +21,8 @@ from .analysis import (ALL_NETS, Trajectory, TrajectorySample, binned_error_curv
                        cna_landscape, complexity_bins, gap_correlation_report, pca2,
                        record_state)
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ExperimentConfig, arch_id, build_arch, resolve_datasets
+from .config import (ExperimentConfig, arch_id, as_type, build_arch, corruption_of,
+                     resolve_datasets)
 from .csvio import read_csv, write_csv
 from .errors import CnaLabError, ConfigError, DataError
 from .metrics import entropy_vector, gap_metric_set
@@ -31,6 +33,7 @@ from .rng import seeded_rng
 from .svg import grouped_bars_svg, landscape_svg, scatter_svg
 
 CURVE_BINS = 5
+SUITE_EPOCHS = 10    # a suite cell's epochs when neither the suite nor its run sets them
 
 
 def record_path(out_dir, epoch):
@@ -41,6 +44,11 @@ def ckpt_path(out_dir, epoch, keep="all"):
     if keep == "latest":
         return os.path.join(out_dir, "ckpt_latest.cnac")
     return os.path.join(out_dir, f"ckpt_epoch{epoch:04d}.cnac")
+
+
+def _write_json(path, obj, sort_keys=False):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n")
 
 
 def _latest_checkpoint(out_dir):
@@ -55,11 +63,10 @@ def _latest_checkpoint(out_dir):
     return best
 
 
-def _select_probe(test_ds, probe_size, probe_seed):
-    n = len(test_ds)
-    size = min(probe_size, n)
-    idx = np.sort(seeded_rng(probe_seed, "probe").choice(n, size=size, replace=False))
-    return test_ds.inputs[idx]
+def _select_probe(n, probe_size, probe_seed):
+    """Sorted indices of the trajectory probe among n test points."""
+    return np.sort(seeded_rng(probe_seed, "probe").choice(n, size=min(probe_size, n),
+                                                          replace=False))
 
 
 def run_training(cfg, log=print):
@@ -67,9 +74,7 @@ def run_training(cfg, log=print):
     epochs written. Identical (config, seeds) produce byte-identical
     RunRecord files whether or not the run was interrupted."""
     os.makedirs(cfg.output_dir, exist_ok=True)
-    with open(os.path.join(cfg.output_dir, "config.json"), "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(cfg.output_dir, "config.json"), cfg.to_dict(), sort_keys=True)
 
     train_ds, test_ds = resolve_datasets(cfg.dataset)
     opts = cfg.metrics
@@ -91,10 +96,10 @@ def run_training(cfg, log=print):
     bins = complexity_bins(test_alphas, CURVE_BINS)
 
     trajectory = None
-    probe = None
     if cfg.record_trajectory:
-        probe = _select_probe(test_ds, cfg.probe_size, cfg.probe_seed)
-        trajectory = _load_trajectory(cfg.output_dir) or \
+        probe_idx = _select_probe(len(test_ds), cfg.probe_size, cfg.probe_seed)
+        probe = test_ds.inputs[probe_idx]
+        trajectory = _load_trajectory(cfg.output_dir)[0] or \
             Trajectory(probe_shape=probe.shape, n_layers=net.n_layers)
 
     curve_rows = _load_curves(cfg.output_dir, start_epoch)
@@ -123,7 +128,7 @@ def run_training(cfg, log=print):
                                      train_pass=train_pass, test_pass=test_pass)
             record = RunRecord(
                 dataset=cfg.dataset["name"], arch=arch_id(cfg.arch),
-                corruption=float(cfg.dataset.get("corruption", 0.0)), epoch=epoch,
+                corruption=corruption_of(cfg.dataset), epoch=epoch,
                 train_acc=train_acc, test_acc=test_acc, gap=train_acc - test_acc,
                 metrics=metrics.to_dict(),
                 extra={"train_loss": train_loss, "test_loss": test_loss})
@@ -140,8 +145,7 @@ def run_training(cfg, log=print):
                 f"loss={train_loss:.4f} train_acc={train_acc:.4f} test_acc={test_acc:.4f}")
 
     if trajectory is not None and trajectory.samples:
-        _save_trajectory(cfg.output_dir, trajectory,
-                         entropy_vector(probe, opts.entropy))
+        _save_trajectory(cfg.output_dir, trajectory, test_alphas[probe_idx])
     return snapshots
 
 
@@ -164,15 +168,16 @@ def _save_trajectory(out_dir, trajectory, probe_alphas):
 
 
 def _load_trajectory(out_dir):
+    """The Trajectory saved in out_dir and its probe entropies, or (None, None)."""
     path = os.path.join(out_dir, "trajectory.npz")
     if not os.path.exists(path):
-        return None
+        return None, None
     with np.load(path) as z:
         traj = Trajectory(probe_shape=(int(z["probe_n"]),), n_layers=int(z["n_layers"]))
         for step, state, loss in zip(z["steps"], z["states"], z["losses"]):
             traj.append(TrajectorySample(step=int(step), state=state.copy(),
                                          loss=float(loss)))
-    return traj
+        return traj, z["probe_alphas"]
 
 
 # ---------------------------------------------------------------------------
@@ -181,46 +186,40 @@ def _load_trajectory(out_dir):
 
 def cell_id(dataset, arch):
     """Output directory name of a suite cell, e.g. synthetic-digits_c30_mlp-256x256."""
-    corruption = int(round(dataset.get("corruption", 0.0) * 100))
+    corruption = int(round(corruption_of(dataset) * 100))
     return f"{dataset['name']}_c{corruption:02d}_{arch_id(arch)}"
 
 
 def build_suite_cells(suite):
-    """Expand a suite config into per-cell ExperimentConfigs."""
-    try:
-        grid = suite.get("grid", {})
-        output_root = suite["output_root"]
-    except KeyError as exc:
-        raise ConfigError(f"suite config missing {exc}") from exc
-    shared = {k: suite[k] for k in ("optimizer", "epochs", "snapshot_interval", "metrics",
-                                    "init_seed", "shuffle_seed", "probe_size", "probe_seed",
-                                    "keep_checkpoints", "record_trajectory")
-              if k in suite}
+    """Expand a suite config into per-cell ExperimentConfigs: every grid
+    dataset x corruption x arch, then the extra_runs. The suite's keys for
+    ExperimentConfig fields other than dataset, arch and output_dir apply
+    to every cell, and an extra run may override them."""
+    output_root = as_type(str, suite.get("output_root"), "output_root")
+    grid = as_type(dict, suite.get("grid", {}), "grid")
+    runs = [{"dataset": as_type(dict, ds, "grid.datasets") | {"corruption": corruption},
+             "arch": arch}
+            for ds in as_type(list, grid.get("datasets", []), "grid.datasets")
+            for corruption in as_type(list, grid.get("corruptions", [0.0]), "grid.corruptions")
+            for arch in as_type(list, grid.get("archs", []), "grid.archs")]
+    runs += [as_type(dict, run, "extra_runs")
+             for run in as_type(list, suite.get("extra_runs", []), "extra_runs")]
+    shared = {f.name: suite[f.name] for f in fields(ExperimentConfig)
+              if f.name in suite and f.name not in ("dataset", "arch", "output_dir")}
     cells = []
-    for ds in grid.get("datasets", []):
-        for corruption in grid.get("corruptions", [0.0]):
-            for arch in grid.get("archs", []):
-                dataset = dict(ds)
-                dataset["corruption"] = corruption
-                obj = dict(shared)
-                obj.update({"dataset": dataset, "arch": arch,
-                            "output_dir": os.path.join(output_root, cell_id(dataset, arch))})
-                obj.setdefault("epochs", suite.get("epochs", 10))
-                cells.append(ExperimentConfig.from_dict(obj))
-    for extra in suite.get("extra_runs", []):
-        obj = dict(shared)
-        obj.update(extra)
-        obj.setdefault("output_dir",
-                       os.path.join(output_root, cell_id(obj["dataset"], obj["arch"])))
-        obj.setdefault("epochs", suite.get("epochs", 10))
-        cells.append(ExperimentConfig.from_dict(obj))
+    for run in runs:
+        # a run without an output_dir gets its cell_id, named once the config is checked
+        cfg = ExperimentConfig.from_dict({"epochs": SUITE_EPOCHS, "output_dir": output_root,
+                                          **shared, **run})
+        if "output_dir" not in run:
+            cfg.output_dir = os.path.join(output_root, cell_id(cfg.dataset, cfg.arch))
+        cells.append(cfg)
     if not cells:
         raise ConfigError("suite config expands to zero cells")
     return cells
 
 
-def _run_cell(cfg_dict):
-    cfg = ExperimentConfig.from_dict(cfg_dict)
+def _run_cell(cfg):
     try:
         run_training(cfg)
         return cfg.output_dir, "ok", ""
@@ -246,16 +245,13 @@ def run_suite(suite, jobs=1, log=print):
             pending.append(cfg)
     if jobs > 1 and len(pending) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results.extend(pool.map(_run_cell, [c.to_dict() for c in pending]))
+            results.extend(pool.map(_run_cell, pending))
     else:
-        for cfg in pending:
-            results.append(_run_cell(cfg.to_dict()))
+        results.extend(_run_cell(cfg) for cfg in pending)
     summary = {"cells": [{"output_dir": d, "status": s, "error": e}
                          for d, s, e in sorted(results)],
                "n_failed": sum(1 for _, s, _ in results if s == "failed")}
-    with open(os.path.join(output_root, "suite_summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(output_root, "suite_summary.json"), summary)
     for cell in summary["cells"]:
         log(f"[suite] {cell['status']:8s} {cell['output_dir']} {cell['error']}")
     return summary, output_root
@@ -269,11 +265,9 @@ def make_landscape(run_dir, resolution=41, out_dir=None, log=print):
     """PCA-project a recorded trajectory and evaluate the metric over the
     principal plane. Writes trajectory.csv, landscape.csv, landscape.svg."""
     out_dir = out_dir or run_dir
-    trajectory = _load_trajectory(run_dir)
+    trajectory, probe_alphas = _load_trajectory(run_dir)
     if trajectory is None:
         raise DataError(f"{run_dir}: no trajectory.npz; train with --record-trajectory")
-    with np.load(os.path.join(run_dir, "trajectory.npz")) as z:
-        probe_alphas = z["probe_alphas"]
 
     basis, path = pca2(trajectory)
     xs, ys = path[:, 0], path[:, 1]
@@ -322,12 +316,9 @@ def make_report(runs_glob, out_dir, group_by="arch", log=print):
               [(c.metric, c.group, c.rho, c.n) for c in cells])
 
     finding = _finding(cells)
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump({"cells": [{"metric": c.metric, "group": c.group,
-                              "rho": c.rho, "n": c.n} for c in cells],
-                   "n_records": len(records), "finding": finding},
-                  fh, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "report.json"),
+                {"cells": [{"metric": c.metric, "group": c.group, "rho": c.rho, "n": c.n}
+                           for c in cells], "n_records": len(records), "finding": finding})
 
     grouped_bars_svg(cells).save(os.path.join(out_dir, "report_bars.svg"))
     pairs = [(r.metrics.get("cna"), r.test_acc) for r in records

@@ -36,19 +36,12 @@ class EntropyConfig:
             raise ValueError("bin count must be >= 2")
         if (self.lo is None) != (self.hi is None):
             raise ValueError("lo and hi must both be set or both be None")
-        if self.lo is not None and not self.lo < self.hi:
+        if self.lo is not None and not -np.inf < self.lo < self.hi < np.inf:
             raise ValueError(f"degenerate fixed range [{self.lo}, {self.hi}]")
 
     @property
     def per_datapoint(self):
         return self.lo is None
-
-    def to_dict(self):
-        return {"bins": self.bins, "lo": self.lo, "hi": self.hi}
-
-    @staticmethod
-    def from_dict(d):
-        return EntropyConfig(**d)
 
 
 def entropy(x, cfg=EntropyConfig()):
@@ -189,7 +182,8 @@ def spectral_norm(w, tol=1e-10, max_iter=50000):
 
     Converges on the relative change of the singular-value estimate.
     Iterating on the transpose when W has fewer rows than columns keeps
-    the Gram product on the small side; the singular values agree.
+    the Gram product on the small side; the singular values agree. The
+    product W v that gives an iteration's estimate starts the next one.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2 or w.size == 0:
@@ -199,18 +193,19 @@ def spectral_norm(w, tol=1e-10, max_iter=50000):
     rng = np.random.default_rng(0x5EC7)
     v = rng.standard_normal(w.shape[1])
     v /= np.linalg.norm(v)
+    u = w @ v
     sigma = 0.0
     for _ in range(max_iter):
-        u = w @ v
-        v_new = w.T @ u
-        norm = np.linalg.norm(v_new)
+        v = w.T @ u
+        norm = np.linalg.norm(v)
         if norm == 0.0:
             return 0.0          # W v hit the null space: W is zero on it
-        v_new /= norm
-        sigma_new = float(np.linalg.norm(w @ v_new))
+        v /= norm
+        u = w @ v
+        sigma_new = float(np.linalg.norm(u))
         if abs(sigma_new - sigma) <= tol * max(sigma_new, 1.0):
             return sigma_new
-        sigma, v = sigma_new, v_new
+        sigma = sigma_new
     raise ConvergenceError(f"power iteration did not converge in {max_iter} steps",
                            last_value=sigma)
 
@@ -279,10 +274,6 @@ class GapMetricSet:
 
     def to_dict(self):
         return {name: getattr(self, name) for name in METRIC_NAMES}
-
-    @staticmethod
-    def from_dict(d):
-        return GapMetricSet(**{k: d.get(k) for k in METRIC_NAMES})
 
 
 def gap_metric_set(net, train_ds, test_ds, cfg=EntropyConfig(), percentile=10.0,

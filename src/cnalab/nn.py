@@ -44,13 +44,6 @@ class LayerSpec:
     stride: int = 1
     bias: bool = True
 
-    def to_dict(self):
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @staticmethod
-    def from_dict(d):
-        return LayerSpec(**d)
-
 
 def dense(n_in, n_out, bias=True):
     return LayerSpec(kind="dense", in_features=int(n_in), out_features=int(n_out), bias=bias)

@@ -26,13 +26,6 @@ class OptConfig:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
-    def to_dict(self):
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @staticmethod
-    def from_dict(d):
-        return OptConfig(**d)
-
 
 @dataclass
 class OptState:

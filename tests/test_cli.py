@@ -420,3 +420,18 @@ def test_unreadable_inputs_exit_with_their_code_and_no_traceback(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("config error:" if code == 2 else "data error:")
     assert "Traceback" not in err
+
+
+def test_trajectory_probe_alphas_are_the_probe_entropies(tmp_path):
+    from cnalab.config import resolve_datasets
+    from cnalab.metrics import EntropyConfig, entropy_vector
+    from cnalab.rng import seeded_rng
+    cfg_path, cfg = toy_config(tmp_path, "probe", record_trajectory=True, probe_size=32,
+                               probe_seed=5)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    _, test_ds = resolve_datasets(cfg["dataset"])
+    idx = np.sort(seeded_rng(5, "probe").choice(len(test_ds), size=32, replace=False))
+    with np.load(os.path.join(cfg["output_dir"], "trajectory.npz")) as z:
+        saved = z["probe_alphas"]
+    expected = entropy_vector(test_ds.inputs[idx], EntropyConfig())
+    assert saved.dtype == expected.dtype and saved.tobytes() == expected.tobytes()

@@ -518,3 +518,39 @@ def test_cna_and_cna_margin_reject_fewer_than_two_datapoints():
             cna(net, ds.inputs)
         with pytest.raises(DataError):
             cna_margin(net, ds)
+
+
+def three_product_spectral_norm(w, tol=1e-10, max_iter=50000):
+    """spectral_norm's earlier loop, which recomputed W v at the top of each
+    iteration; kept as the bitwise reference."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape[0] < w.shape[1]:
+        w = w.T
+    v = np.random.default_rng(0x5EC7).standard_normal(w.shape[1])
+    v /= np.linalg.norm(v)
+    sigma = 0.0
+    for _ in range(max_iter):
+        u = w @ v
+        v_new = w.T @ u
+        norm = np.linalg.norm(v_new)
+        if norm == 0.0:
+            return 0.0
+        v_new /= norm
+        sigma_new = float(np.linalg.norm(w @ v_new))
+        if abs(sigma_new - sigma) <= tol * max(sigma_new, 1.0):
+            return sigma_new
+        sigma, v = sigma_new, v_new
+    raise ConvergenceError("reference did not converge", last_value=sigma)
+
+
+def test_spectral_norm_equals_three_product_loop_bitwise():
+    rng = np.random.default_rng(11)
+    shapes = [(1, 1), (1, 7), (7, 1), (3, 3), (5, 12), (12, 5), (64, 10), (10, 64),
+              (128, 128), (300, 40), (16, 75), (256, 3072)]
+    for shape in shapes:
+        for _ in range(5):
+            w = rng.standard_normal(shape) * rng.uniform(0.01, 10.0)
+            assert spectral_norm(w) == three_product_spectral_norm(w)
+    rank1 = np.outer(rng.standard_normal(30), rng.standard_normal(20))
+    assert spectral_norm(rank1) == three_product_spectral_norm(rank1)
+    assert spectral_norm(np.zeros((4, 6))) == three_product_spectral_norm(np.zeros((4, 6)))
