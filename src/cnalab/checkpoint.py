@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .csvio import replacing
 from .errors import CnaLabError, FormatError
 from .nn import LayerSpec, Network, _layout
 from .optim import OptConfig, OptState
@@ -45,8 +46,7 @@ def _tables(params, opt_state):
 
 
 def save_checkpoint(net, opt_config, opt_state, epoch, path, seeds=None):
-    blocks = []
-    arrays = []
+    blocks, arrays = [], []
     for prefix, table in _tables(net.params, opt_state).items():
         for idx in sorted(table):
             for name in sorted(table[idx]):
@@ -67,13 +67,9 @@ def save_checkpoint(net, opt_config, opt_state, epoch, path, seeds=None):
         "blocks": blocks,
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(np.uint32(VERSION).tobytes())
-        fh.write(np.uint32(len(meta_bytes)).tobytes())
-        fh.write(meta_bytes)
-        for arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    with replacing(path, "wb") as fh:
+        fh.write(MAGIC + np.array([VERSION, len(meta_bytes)], dtype="<u4").tobytes() + meta_bytes)
+        fh.writelines(np.ascontiguousarray(arr, dtype="<f8") for arr in arrays)
 
 
 def load_checkpoint(path):

@@ -42,10 +42,10 @@ _ARCH_DEFAULTS = {"mlp": {"hidden": [128, 128]},
 
 
 def as_type(tp, value, path):
-    """value converted by tp, or a ConfigError naming path. dict, list and
-    str take only JSON objects, arrays and strings."""
+    """value converted by tp, or a ConfigError naming path. dict, list, str
+    and bool take only JSON objects, arrays, strings and true/false."""
     try:
-        if tp in (dict, list, str) and not isinstance(value, tp):
+        if tp in (dict, list, str, bool) and not isinstance(value, tp):
             raise TypeError
         return tp(value)
     except (TypeError, ValueError, OverflowError):
@@ -144,7 +144,10 @@ class ExperimentConfig:
     def __post_init__(self):
         _check(vars(self))
         _check_spec(self.dataset, "dataset", DATASET_NAMES)
-        _arch_fields(self.arch)
+        name, arch = _arch_fields(self.arch)
+        key = "hidden" if name == "mlp" else "channels"
+        if len(arch[key]) + self.metrics.include_output < 2:    # the slope metrics need L >= 2
+            raise ConfigError(f"arch.{key}: {arch[key]!r} maps fewer than 2 layers to depths")
 
     @staticmethod
     def from_dict(obj):
@@ -251,8 +254,6 @@ def build_arch(arch_cfg, input_shape, classes):
         if len(input_shape) != 1:
             specs.append(nn.flatten())
         n_in = math.prod(input_shape)
-        if not arch["hidden"]:
-            raise ConfigError("mlp needs at least one hidden layer (slope needs depth >= 2)")
         for width in arch["hidden"]:
             specs.append(nn.dense(n_in, int(width)))
             specs.append(nn.relu())

@@ -4,9 +4,11 @@ and report emission. The CLI is a thin wrapper over these functions.
 Per-run output directory layout:
     config.json               resolved config (provenance)
     record_epochNNNN.json     one RunRecord per snapshot
-    ckpt_epochNNNN.cnac       checkpoint per snapshot (or ckpt_latest.cnac)
-    curves.csv                entropy-binned test error per epoch
+    ckpt_epochNNNN.cnac       checkpoint per snapshot ("latest" deletes the older)
+    curves.csv                entropy-binned test error per epoch (appended)
     trajectory.npz            probe states per minibatch (when recorded)
+Each file is written to <name>.tmp and renamed into place; curves.csv is
+written at start (with the resumed epochs' rows), then appended to.
 """
 
 import glob
@@ -23,7 +25,7 @@ from .analysis import (ALL_NETS, Trajectory, TrajectorySample, binned_error_curv
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (ExperimentConfig, arch_id, as_type, build_arch, corruption_of,
                      resolve_datasets)
-from .csvio import read_csv, write_csv
+from .csvio import append_csv, read_csv, replacing, write_csv
 from .errors import CnaLabError, ConfigError, DataError
 from .metrics import entropy_vector, gap_metric_set
 from .nn import build_network
@@ -40,14 +42,12 @@ def record_path(out_dir, epoch):
     return os.path.join(out_dir, f"record_epoch{epoch:04d}.json")
 
 
-def ckpt_path(out_dir, epoch, keep="all"):
-    if keep == "latest":
-        return os.path.join(out_dir, "ckpt_latest.cnac")
+def ckpt_path(out_dir, epoch):
     return os.path.join(out_dir, f"ckpt_epoch{epoch:04d}.cnac")
 
 
 def _write_json(path, obj, sort_keys=False):
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write(json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n")
 
 
@@ -102,7 +102,8 @@ def run_training(cfg, log=print):
         trajectory = _load_trajectory(cfg.output_dir)[0] or \
             Trajectory(probe_shape=probe.shape, n_layers=net.n_layers)
 
-    curve_rows = _load_curves(cfg.output_dir, start_epoch)
+    curves = os.path.join(cfg.output_dir, "curves.csv")
+    write_csv(curves, "curves", ("epoch", "bin", "mean_error"), _load_curves(curves, start_epoch))
     batches_per_epoch = -(-len(train_ds) // cfg.optimizer.batch_size)
     snapshots = []
 
@@ -134,12 +135,13 @@ def run_training(cfg, log=print):
                 extra={"train_loss": train_loss, "test_loss": test_loss})
             write_record(record, record_path(cfg.output_dir, epoch))
             curve = binned_error_curves(flags[None], bins).curves[:, 0]
-            curve_rows.extend((epoch, b, float(v)) for b, v in enumerate(curve))
-            write_csv(os.path.join(cfg.output_dir, "curves.csv"), "curves",
-                      ("epoch", "bin", "mean_error"), curve_rows)
-            save_checkpoint(net, cfg.optimizer, opt_state, epoch,
-                            ckpt_path(cfg.output_dir, epoch, cfg.keep_checkpoints),
+            append_csv(curves, ((epoch, b, float(v)) for b, v in enumerate(curve)))
+            ckpt = ckpt_path(cfg.output_dir, epoch)
+            save_checkpoint(net, cfg.optimizer, opt_state, epoch, ckpt,
                             seeds={"init": cfg.init_seed, "shuffle": cfg.shuffle_seed})
+            if cfg.keep_checkpoints == "latest":
+                for old in set(glob.glob(os.path.join(cfg.output_dir, "ckpt_*.cnac"))) - {ckpt}:
+                    os.unlink(old)
             snapshots.append(epoch)
             log(f"[train] {cfg.output_dir} epoch {epoch}: "
                 f"loss={train_loss:.4f} train_acc={train_acc:.4f} test_acc={test_acc:.4f}")
@@ -149,22 +151,23 @@ def run_training(cfg, log=print):
     return snapshots
 
 
-def _load_curves(out_dir, up_to_epoch):
-    path = os.path.join(out_dir, "curves.csv")
+def _load_curves(path, up_to_epoch):
+    """The curves.csv rows up to up_to_epoch; later ones, appended before a
+    crash (a torn last line among them), are dropped."""
     if not os.path.exists(path) or up_to_epoch == 0:
         return []
     _, _, rows = read_csv(path)
-    return [(int(e), int(b), float(v)) for e, b, v in rows if int(e) <= up_to_epoch]
+    return [(int(r[0]), int(r[1]), float(r[2])) for r in rows
+            if len(r) == 3 and int(r[0]) <= up_to_epoch]
 
 
 def _save_trajectory(out_dir, trajectory, probe_alphas):
-    np.savez(os.path.join(out_dir, "trajectory.npz"),
-             states=trajectory.states(),
-             steps=np.array([s.step for s in trajectory.samples]),
-             losses=np.array([s.loss for s in trajectory.samples]),
-             probe_alphas=probe_alphas,
-             probe_n=trajectory.probe_n,
-             n_layers=trajectory.n_layers)
+    with replacing(os.path.join(out_dir, "trajectory.npz"), "wb") as fh:
+        np.savez(fh, states=trajectory.states(),
+                 steps=np.array([s.step for s in trajectory.samples]),
+                 losses=np.array([s.loss for s in trajectory.samples]),
+                 probe_alphas=probe_alphas, probe_n=trajectory.probe_n,
+                 n_layers=trajectory.n_layers)
 
 
 def _load_trajectory(out_dir):

@@ -329,6 +329,7 @@ def loss_and_gradients(net, batch, labels):
     grad = probs / n
 
     grads = {}
+    first = min(net.params)    # nothing reads the gradient w.r.t. its input
     for idx, cache in reversed(caches):
         spec = net.specs[idx]
         if spec.kind == "dense":
@@ -336,6 +337,8 @@ def loss_and_gradients(net, batch, labels):
             if spec.bias:
                 g["b"] = grad.sum(axis=0)
             grads[idx] = g
+            if idx == first:
+                break
             grad = grad @ net.params[idx]["W"].T
         elif spec.kind == "conv2d":
             cols, in_shape, oh, ow = cache
@@ -346,8 +349,9 @@ def loss_and_gradients(net, batch, labels):
             if spec.bias:
                 g["b"] = dpre.sum(axis=0)
             grads[idx] = g
-            dcols = dpre @ w.reshape(oc, -1)
-            grad = _col2im(dcols, in_shape, spec.kernel, spec.stride, oh, ow)
+            if idx == first:
+                break
+            grad = _col2im(dpre @ w.reshape(oc, -1), in_shape, spec.kernel, spec.stride, oh, ow)
         elif spec.kind == "relu":
             grad = grad * (cache > 0)
         elif spec.kind == "flatten":

@@ -11,6 +11,7 @@ float formatting, trailing newline.
 import json
 from dataclasses import dataclass, field
 
+from .csvio import replacing
 from .errors import FormatError
 from .metrics import METRIC_NAMES
 
@@ -55,7 +56,7 @@ class RunRecord:
 
 
 def write_record(record, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write(record.to_json())
 
 

@@ -7,6 +7,8 @@ verify emitted coordinates against the CSV values.
 
 import numpy as np
 
+from .csvio import replacing
+
 UNDEFINED_FILL = "#c8c8c8"    # designated fill for undefined-correlation cells
 
 
@@ -58,7 +60,7 @@ class SvgCanvas:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with replacing(path) as fh:
             fh.write(self.to_string())
 
 

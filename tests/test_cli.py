@@ -435,3 +435,150 @@ def test_trajectory_probe_alphas_are_the_probe_entropies(tmp_path):
         saved = z["probe_alphas"]
     expected = entropy_vector(test_ds.inputs[idx], EntropyConfig())
     assert saved.dtype == expected.dtype and saved.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"arch": {"name": "mlp", "hidden": [8]}}, "arch.hidden"),
+    ({"arch": {"name": "cnn", "channels": []}}, "arch.channels"),
+    ({"record_trajectory": "false"}, "record_trajectory"),
+    ({"metrics": {"include_output": 0}}, "metrics.include_output"),
+], ids=["mlp-one-hidden", "cnn-no-channels", "bool-string", "bool-int"])
+def test_bad_config_exits_2_before_writing(tmp_path, capsys, overrides, field):
+    cfg_path, cfg = toy_config(tmp_path, **overrides)
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+    assert not os.path.exists(cfg["output_dir"])
+
+
+def test_one_hidden_layer_with_the_output_layer_mapped_parses(tmp_path):
+    from cnalab.config import load_config
+    cfg_path, _ = toy_config(tmp_path, arch={"name": "mlp", "hidden": [8]},
+                             metrics={"include_output": True})
+    assert load_config(cfg_path).arch == {"name": "mlp", "hidden": [8]}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_step_exits_4_without_that_epochs_record(tmp_path, monkeypatch, capsys):
+    from cnalab import harness
+    real = harness.resolve_datasets
+
+    def poisoned(spec):
+        train, test = real(spec)
+        inputs = train.inputs.copy()
+        inputs[17] = np.inf
+        return type(train)(inputs, train.labels, train.classes), test
+
+    monkeypatch.setattr(harness, "resolve_datasets", poisoned)
+    cfg_path, cfg = toy_config(tmp_path, epochs=2)
+    assert main(["train", "--config", str(cfg_path)]) == 4
+    assert "non-finite" in capsys.readouterr().err
+    assert not [f for f in os.listdir(cfg["output_dir"]) if f.startswith(("record_", "ckpt_"))]
+
+
+# --- run-directory writes: temp file + rename, curves.csv appended ---------
+
+def run_files(out_dir):
+    """{name: bytes} of a run's records, curves and checkpoints."""
+    return {name: open(os.path.join(out_dir, name), "rb").read()
+            for name in sorted(os.listdir(out_dir))
+            if name.startswith(("record_", "ckpt_")) or name == "curves.csv"}
+
+
+@pytest.fixture
+def latest_run(tmp_path):
+    """A 3-epoch keep_checkpoints=latest run, uninterrupted."""
+    cfg_path, cfg = toy_config(tmp_path, "full", epochs=3, keep_checkpoints="latest")
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    return run_files(cfg["output_dir"])
+
+
+def forbid_overwrites(monkeypatch, run_dir):
+    """Make any open that would truncate or overwrite an existing file in
+    run_dir fail; appending stays allowed."""
+    real_open, real_os_open = open, os.open
+
+    def check(path):
+        if os.path.dirname(os.path.abspath(path)) == run_dir and os.path.exists(path):
+            raise AssertionError(f"{path} overwritten in place")
+
+    def guarded_open(file, mode="r", *args, **kwargs):
+        if not isinstance(file, int) and ("w" in mode or "+" in mode):
+            check(file)
+        return real_open(file, mode, *args, **kwargs)
+
+    def guarded_os_open(path, flags, *args, **kwargs):
+        if flags & (os.O_WRONLY | os.O_RDWR) and not flags & os.O_APPEND:
+            check(path)
+        return real_os_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", guarded_open)
+    monkeypatch.setattr(os, "open", guarded_os_open)
+
+
+def test_latest_run_never_overwrites_a_file_in_place(tmp_path, monkeypatch, latest_run):
+    cfg_path, cfg = toy_config(tmp_path, "run", epochs=3, keep_checkpoints="latest",
+                               record_trajectory=True, probe_size=16)
+    forbid_overwrites(monkeypatch, cfg["output_dir"])
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path)]) == 0    # rerun rewrites config, curves
+    monkeypatch.undo()
+    assert run_files(cfg["output_dir"]) == latest_run
+    assert [f for f in os.listdir(cfg["output_dir"]) if f.startswith("ckpt_")] == \
+        ["ckpt_epoch0003.cnac"]
+    assert not [f for f in os.listdir(cfg["output_dir"]) if f.endswith(".tmp")]
+
+
+class Crash(Exception):
+    pass
+
+
+@pytest.mark.parametrize("tear", [0, 7], ids=["whole-rows", "torn-line"])
+def test_resume_after_crash_before_checkpoint_save(tmp_path, monkeypatch, latest_run, tear):
+    from cnalab import harness
+    real = harness.save_checkpoint
+
+    def crash_at_epoch_3(net, opt_config, opt_state, epoch, path, seeds=None):
+        if epoch == 3:
+            raise Crash
+        real(net, opt_config, opt_state, epoch, path, seeds)
+
+    monkeypatch.setattr(harness, "save_checkpoint", crash_at_epoch_3)
+    cfg_path, cfg = toy_config(tmp_path, "run", epochs=3, keep_checkpoints="latest")
+    with pytest.raises(Crash):
+        main(["train", "--config", str(cfg_path)])
+    monkeypatch.undo()
+    curves = os.path.join(cfg["output_dir"], "curves.csv")
+    raw = open(curves, "rb").read()
+    assert raw.count(b"\n3,") == 5    # epoch 3's rows were appended
+    with open(curves, "r+b") as fh:
+        fh.truncate(len(raw) - tear)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert run_files(cfg["output_dir"]) == latest_run
+
+
+def test_stale_temp_checkpoint_is_ignored(tmp_path, capsys, latest_run):
+    cfg_path, cfg = toy_config(tmp_path, "run", epochs=1, keep_checkpoints="latest")
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    ckpt = os.path.join(cfg["output_dir"], "ckpt_epoch0001.cnac")
+    stale = os.path.join(cfg["output_dir"], "ckpt_epoch0002.cnac.tmp")
+    with open(stale, "wb") as fh:
+        fh.write(open(ckpt, "rb").read()[:-100])     # a save cut short
+    more_path, _ = toy_config(tmp_path, "run", epochs=3, keep_checkpoints="latest")
+    capsys.readouterr()
+    assert main(["train", "--config", str(more_path)]) == 0
+    assert "from epoch 1" in capsys.readouterr().out
+    assert run_files(cfg["output_dir"]) == latest_run
+    assert not os.path.exists(stale)
+
+
+def test_legacy_latest_checkpoint_resumes_then_is_removed(tmp_path, capsys, latest_run):
+    cfg_path, cfg = toy_config(tmp_path, "run", epochs=1, keep_checkpoints="latest")
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    os.rename(os.path.join(cfg["output_dir"], "ckpt_epoch0001.cnac"),
+              os.path.join(cfg["output_dir"], "ckpt_latest.cnac"))
+    more_path, _ = toy_config(tmp_path, "run", epochs=3, keep_checkpoints="latest")
+    capsys.readouterr()
+    assert main(["train", "--config", str(more_path)]) == 0
+    assert "from epoch 1" in capsys.readouterr().out
+    assert run_files(cfg["output_dir"]) == latest_run

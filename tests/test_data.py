@@ -342,7 +342,7 @@ def test_corrupted_suite_cell_shares_cached_inputs(fresh_corpus_cache):
     from cnalab.harness import build_suite_cells
     suite = {"grid": {"datasets": [{"name": "synthetic-shapes", "train_size": 40,
                                     "test_size": 10, "seed": 9}],
-                      "corruptions": [0.0, 0.5], "archs": [{"name": "mlp", "hidden": [4]}]},
+                      "corruptions": [0.0, 0.5], "archs": [{"name": "mlp", "hidden": [4, 4]}]},
              "output_root": "unused"}
     clean_cell, corrupted_cell = build_suite_cells(suite)
     clean, _ = resolve_datasets(clean_cell.dataset)

@@ -339,3 +339,24 @@ def test_network_rejects_params_that_do_not_match_specs():
     assert net.depth_map == good.depth_map == [0, 2]
     with pytest.raises(ValueError, match="aggregation"):
         nn.Network(specs=specs, params=good.params, input_shape=(2, 7, 7), aggregation="max")
+
+
+def test_backprop_stops_at_the_first_parameterized_layer(monkeypatch):
+    rng = np.random.default_rng(10)
+    specs = [nn.conv2d(2, 3, 3, stride=2), nn.relu(), nn.conv2d(3, 2, 2), nn.relu(),
+             nn.flatten(), nn.dense(2 * 2 * 2, 3)]
+    net = nn.build_network(specs, 2, (2, 7, 7))
+    randomize_biases(net, seed=4)
+    x = rng.normal(size=(4, 2, 7, 7))
+    y = rng.integers(0, 3, 4)
+    shapes = []
+    col2im = nn._col2im
+
+    def counted(dcols, x_shape, *rest):
+        shapes.append(x_shape)
+        return col2im(dcols, x_shape, *rest)
+
+    monkeypatch.setattr(nn, "_col2im", counted)
+    nn.loss_and_gradients(net, x, y)
+    assert shapes == [(4, 3, 3, 3)]      # the second conv's input only, never the image
+    assert finite_difference_check(net, x, y) < 1e-4

@@ -5,9 +5,10 @@ import pytest
 
 from cnalab import nn
 from cnalab.data import LabeledDataset
-from cnalab.errors import DataError
+from cnalab.errors import DataError, NumericError
 from cnalab.optim import (OptConfig, evaluate, init_opt_state, iter_batches, score,
                           trace_over_dataset, train_epoch)
+from cnalab.rng import seeded_rng
 
 
 def separable_toy(n=40, seed=0):
@@ -161,3 +162,20 @@ def test_the_pass_rejects_empty_inputs():
         trace_over_dataset(net, np.zeros((0, 2)))
     with pytest.raises(DataError):
         evaluate(net, LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_value_fails_at_the_step_it_appears():
+    ds = separable_toy()
+    poisoned = 13
+    ds.inputs[poisoned] = np.inf
+    cfg = OptConfig(kind="adam", lr=0.01, batch_size=4)
+    order = seeded_rng(5, "shuffle", counter=1).permutation(len(ds))
+    step = int(np.flatnonzero(order == poisoned)[0]) // cfg.batch_size
+    assert step > 0
+    net = tiny_net()
+    done = []
+    with pytest.raises(NumericError):
+        train_epoch(net, ds, cfg, init_opt_state(net, cfg), 5, 1,
+                    on_batch=lambda s, loss: done.append(s))
+    assert done == list(range(step))
