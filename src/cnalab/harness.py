@@ -11,9 +11,11 @@ Each file is written to <name>.tmp and renamed into place; curves.csv is
 written at start (with the resumed epochs' rows), then appended to.
 """
 
+import contextlib
 import glob
 import json
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 
@@ -52,14 +54,22 @@ def _write_json(path, obj, sort_keys=False):
 
 
 def _latest_checkpoint(out_dir):
-    best, best_epoch = None, -1
-    for p in sorted(glob.glob(os.path.join(out_dir, "ckpt_*.cnac"))):
-        try:
-            ck = load_checkpoint(p)
-        except CnaLabError:
-            continue
-        if ck.epoch > best_epoch:
-            best, best_epoch = ck, ck.epoch
+    """The newest checkpoint in out_dir that loads, or None: ckpt_epochNNNN
+    files newest first by the epoch in their name, skipping any that fail to
+    load or store another epoch; a legacy ckpt_latest.cnac only if newer."""
+    def load(path):
+        with contextlib.suppress(CnaLabError):
+            return load_checkpoint(path)
+
+    legacy = os.path.join(out_dir, "ckpt_latest.cnac")
+    best = load(legacy) if os.path.exists(legacy) else None
+    named = (re.fullmatch(r"ckpt_epoch(\d+)\.cnac", name) for name in os.listdir(out_dir))
+    for epoch, name in sorted(((int(m[1]), m[0]) for m in named if m), reverse=True):
+        if best is not None and best.epoch > epoch:
+            break
+        ck = load(os.path.join(out_dir, name))
+        if ck is not None and ck.epoch == epoch:
+            return ck
     return best
 
 

@@ -343,6 +343,32 @@ def test_resume_skips_newest_checkpoint_with_corrupt_metadata(tmp_path):
         open(os.path.join(full["output_dir"], "ckpt_epoch0002.cnac"), "rb").read()
 
 
+def test_resume_loads_only_the_newest_checkpoint(tmp_path, capsys, monkeypatch):
+    from cnalab import harness
+    cfg_path, cfg = toy_config(tmp_path, "run", epochs=5, keep_checkpoints="all")
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    loaded, real = [], harness.load_checkpoint
+    monkeypatch.setattr(harness, "load_checkpoint",
+                        lambda path: loaded.append(os.path.basename(path)) or real(path))
+    more_path, _ = toy_config(tmp_path, "run", epochs=6, keep_checkpoints="all")
+    capsys.readouterr()
+    assert main(["train", "--config", str(more_path)]) == 0
+    assert "from epoch 5" in capsys.readouterr().out
+    assert loaded == ["ckpt_epoch0005.cnac"]
+
+
+def test_resume_skips_a_checkpoint_named_for_another_epoch(tmp_path, capsys):
+    cfg_path, cfg = toy_config(tmp_path, "run", epochs=2, keep_checkpoints="all")
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    out = cfg["output_dir"]
+    with open(os.path.join(out, "ckpt_epoch0009.cnac"), "wb") as fh:
+        fh.write(open(os.path.join(out, "ckpt_epoch0001.cnac"), "rb").read())
+    more_path, _ = toy_config(tmp_path, "run", epochs=3, keep_checkpoints="all")
+    capsys.readouterr()
+    assert main(["train", "--config", str(more_path)]) == 0
+    assert "from epoch 2" in capsys.readouterr().out
+
+
 def test_snapshot_forwards_each_split_once(tmp_path, monkeypatch):
     import sys
     from cnalab import nn
@@ -459,20 +485,33 @@ def test_one_hidden_layer_with_the_output_layer_mapped_parses(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_nonfinite_step_exits_4_without_that_epochs_record(tmp_path, monkeypatch, capsys):
+def poison_train_row(monkeypatch, value):
+    """Make the training inputs' row 17 all value."""
     from cnalab import harness
     real = harness.resolve_datasets
 
     def poisoned(spec):
         train, test = real(spec)
         inputs = train.inputs.copy()
-        inputs[17] = np.inf
+        inputs[17] = value
         return type(train)(inputs, train.labels, train.classes), test
 
     monkeypatch.setattr(harness, "resolve_datasets", poisoned)
+
+
+def test_nonfinite_step_exits_4_without_that_epochs_record(tmp_path, monkeypatch, capsys):
+    poison_train_row(monkeypatch, 1e308)      # finite, but the first step overflows
     cfg_path, cfg = toy_config(tmp_path, epochs=2)
     assert main(["train", "--config", str(cfg_path)]) == 4
     assert "non-finite" in capsys.readouterr().err
+    assert not [f for f in os.listdir(cfg["output_dir"]) if f.startswith(("record_", "ckpt_"))]
+
+
+def test_nonfinite_input_exits_3_before_training(tmp_path, monkeypatch, capsys):
+    poison_train_row(monkeypatch, np.inf)
+    cfg_path, cfg = toy_config(tmp_path, epochs=2)
+    assert main(["train", "--config", str(cfg_path)]) == 3
+    assert "row 17 is not finite" in capsys.readouterr().err
     assert not [f for f in os.listdir(cfg["output_dir"]) if f.startswith(("record_", "ckpt_"))]
 
 

@@ -1,13 +1,19 @@
 """Metric tests: frozen examples, independent oracles, and invariants."""
 
+import collections
+import gc
+import hashlib
 import math
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cnalab import nn
+from cnalab import data, metrics, nn
+from cnalab.config import resolve_datasets
 from cnalab.data import LabeledDataset
 from cnalab.errors import ConvergenceError, DataError, UndefinedCorrelationError
 from cnalab.metrics import (EntropyConfig, cna, cna_margin, entropy, entropy_vector,
@@ -91,6 +97,202 @@ def test_entropy_degenerate_range_rejected():
 def test_entropy_empty_rejected():
     with pytest.raises(DataError):
         entropy(np.zeros((0,)))
+
+
+def test_entropy_rejects_non_finite_values_naming_the_row():
+    for cfg in (EntropyConfig(), EntropyConfig(bins=16, lo=None, hi=None)):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DataError, match="not finite"):
+                entropy([0.1, bad, 0.2, 0.9], cfg)
+            x = np.random.default_rng(3).random((6, 5))
+            x[4, 2] = x[5, 0] = bad
+            for block in (metrics._BLOCK, 10):      # 10 values: rows 4 and 5 share a block
+                with mock.patch.object(metrics, "_BLOCK", block), \
+                        pytest.raises(DataError, match="row 4 is not finite"):
+                    entropy_vector(x, cfg)
+
+
+def reference_entropy(x, cfg=EntropyConfig()):
+    """entropy() as it was before the vectorized estimator, verbatim: one
+    np.histogram per datapoint. Kept as the bitwise reference."""
+    values = np.asarray(x, dtype=np.float64).ravel()
+    if values.size == 0:
+        raise DataError("entropy needs at least one element")
+    if cfg.per_datapoint:
+        lo, hi = float(values.min()), float(values.max())
+        if lo == hi:
+            return 0.0
+    else:
+        lo, hi = cfg.lo, cfg.hi
+        values = np.clip(values, lo, hi)
+    counts, _ = np.histogram(values, bins=cfg.bins, range=(lo, hi))
+    p = counts[counts > 0] / values.size
+    return float(-(p * np.log2(p)).sum())
+
+
+def reference_entropy_vector(inputs, cfg=EntropyConfig()):
+    """entropy_vector() before the vectorized estimator, verbatim."""
+    n = inputs.shape[0]
+    return np.array([reference_entropy(inputs[i], cfg) for i in range(n)])
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+@st.composite
+def entropy_cases(draw):
+    """(inputs, cfg, block) with values on bin edges, one ulp either side
+    of them, on lo and hi, outside a fixed range, in constant rows and in
+    rows too narrow for the bin count."""
+    bins = draw(st.integers(2, 512))
+    if draw(st.booleans()):
+        cfg = EntropyConfig(bins=bins, lo=None, hi=None)
+    else:
+        lo = draw(st.floats(-100.0, 100.0))
+        hi = lo + draw(st.sampled_from([1e-6, 0.01, 1.0, 3.0, 1000.0]))
+        cfg = EntropyConfig(bins=bins, lo=lo, hi=hi)
+    n, m = draw(st.integers(0, 9)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["mixed", "mixed", "constant", "zeros", "narrow"]))
+        lo, hi = (cfg.lo, cfg.hi) if not cfg.per_datapoint else \
+            sorted(rng.uniform(-50, 50) + rng.choice([0.0, 1e-3, 1.0, 80.0], size=2))
+        if kind == "constant":
+            rows.append(np.full(m, rng.choice([lo, hi, rng.uniform(-200, 200)])))
+        elif kind == "zeros":
+            rows.append(rng.choice([0.0, -0.0], size=m))
+        elif kind == "narrow":
+            rows.append(lo + rng.integers(0, 4, size=m) * np.spacing(lo))
+        else:
+            edges = np.linspace(lo, hi, bins + 1) if hi > lo else np.array([lo])
+            pool = np.concatenate([edges, np.nextafter(edges, np.inf),
+                                   np.nextafter(edges, -np.inf), [lo, hi],
+                                   rng.uniform(lo, hi, size=8),
+                                   rng.uniform(lo - 5.0, hi + 5.0, size=4)])
+            rows.append(rng.choice(pool, size=m))
+    inputs = np.array(rows).reshape(n, m)
+    block = draw(st.sampled_from([1, m, 2 * m + 1, 3 * m - 1, metrics._BLOCK]))
+    return inputs, cfg, block
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(entropy_cases())
+def test_entropy_vector_bitwise_equals_per_row_histogram(case):
+    inputs, cfg, block = case
+    with mock.patch.object(metrics, "_BLOCK", block):
+        try:
+            want = reference_entropy_vector(inputs, cfg)
+        except ValueError:      # np.histogram: range too narrow for the bins
+            with pytest.raises(DataError, match="too narrow"):
+                entropy_vector(inputs, cfg)
+            return
+        got = entropy_vector(inputs, cfg)
+    assert got.dtype == np.float64 and got.shape == (len(inputs),)
+    assert np.array_equal(bits(got), bits(want))
+    for row, value in zip(inputs, want):
+        assert bits(entropy(row, cfg)) == bits(value)
+
+
+def test_entropy_vector_edge_shapes_and_narrow_ranges():
+    for cfg in (EntropyConfig(), EntropyConfig(bins=7, lo=None, hi=None)):
+        empty = entropy_vector(np.zeros((0, 1, 3, 3)), cfg)
+        assert empty.dtype == np.float64 and empty.shape == (0,)
+        one = np.array([[0.2, 0.2, 0.7, 1.5]])
+        assert np.array_equal(bits(entropy_vector(one, cfg)),
+                              bits(reference_entropy_vector(one, cfg)))
+    narrow = EntropyConfig(bins=512, lo=1.0, hi=1.0 + 1e-14)
+    with pytest.raises(ValueError):
+        reference_entropy([1.0, 1.0], narrow)
+    with pytest.raises(DataError, match="too narrow"):
+        entropy([1.0, 1.0], narrow)
+
+
+# (name, train_size, test_size, seed) of every corpus configs/ and perfbench
+# use, and sha256 over the entropy vectors of its train and test inputs under
+# GOLDEN_ENTROPY_CONFIGS, computed by the per-row np.histogram estimator.
+ENTROPY_GOLDENS = [
+    ("synthetic-digits", 10000, 2000, 7,
+     "732970597040f701fcd741e18a5165812fbccddb5d741cb17a5b7d8f1982130b"),
+    ("synthetic-digits", 2000, 1000, 7,
+     "ecf361f73ca6139337166f23e45d3fe2abbc2862d285fab6546de802c05c57be"),
+    ("synthetic-shapes", 2000, 1000, 8,
+     "6361ece9606a5a8a269b292a099b0db732d6e5770a91b23fb32c49a5b56fd1b1"),
+    ("gaussian-noise", 1000, 500, 31,
+     "e533dcd08d51f7b5d0b5c5851555e6bc11e3b28bdf77a04cf769a4ec3c70a985"),
+    ("synthetic-digits", 2000, 500, 7,
+     "39d2f63bd4f5591cabe4a45b4bf318abef3495705ef3b276fe6957da5e777abd"),
+    ("synthetic-digits", 200, 100, 7,
+     "c631c2a5fbe8fbe93d76622ce9bcfccffc4404ec1bc60abb77bd00cee51831a3"),
+    ("synthetic-shapes", 200, 100, 8,
+     "c04dce3456fd11d5e4842e64d87c6461f622edf0f0838e6363b3f5a7c2b6adba"),
+    ("gaussian-noise", 200, 100, 31,
+     "56773bfb5a0606c156d51628f24b1da9dc12dd29c9875531e57a681a9be097a0"),
+]
+GOLDEN_ENTROPY_CONFIGS = (EntropyConfig(), EntropyConfig(bins=16, lo=None, hi=None),
+                          EntropyConfig(bins=64, lo=-2.0, hi=2.0))
+
+
+@pytest.mark.parametrize("name,n_train,n_test,seed,digest", ENTROPY_GOLDENS)
+def test_entropy_vector_matches_goldens_of_the_per_row_estimator(name, n_train, n_test, seed,
+                                                                digest):
+    splits = resolve_datasets({"name": name, "train_size": n_train, "test_size": n_test,
+                               "seed": seed})
+    h = hashlib.sha256()
+    for cfg in GOLDEN_ENTROPY_CONFIGS:
+        for ds in splits:
+            h.update(entropy_vector(ds.inputs, cfg).tobytes())
+    assert h.hexdigest() == digest
+
+
+@pytest.fixture
+def counted_estimator(monkeypatch):
+    """An empty memo and corpus cache, and the list of (shape, cfg) of
+    every estimator call."""
+    monkeypatch.setattr(metrics, "_MEMO", collections.OrderedDict())
+    data._cached_corpus.cache_clear()
+    calls, real = [], metrics._entropies
+    monkeypatch.setattr(metrics, "_entropies",
+                        lambda rows, cfg: calls.append((rows.shape, cfg)) or real(rows, cfg))
+    yield calls
+    data._cached_corpus.cache_clear()
+
+
+def test_suite_computes_each_entropy_vector_once(tmp_path, counted_estimator):
+    from cnalab.harness import run_suite
+    datasets = [{"name": name, "train_size": 40, "test_size": 20, "seed": seed}
+                for name, seed in (("synthetic-digits", 3), ("synthetic-shapes", 4))]
+    suite = {"grid": {"datasets": datasets, "corruptions": [0.0, 0.5],
+                      "archs": [{"name": "mlp", "hidden": [4, 4]},
+                                {"name": "cnn", "channels": [2, 2], "kernel": 3, "stride": 2}]},
+             "epochs": 1, "output_root": str(tmp_path / "suite")}
+    run_suite(suite, log=lambda *_: None)
+    cfg = EntropyConfig()
+    assert sorted(counted_estimator, key=str) == [((20, 784), cfg)] * 2 + [((40, 784), cfg)] * 2
+
+
+def test_entropy_memo_keeps_only_read_only_owned_arrays(counted_estimator):
+    x = np.random.default_rng(4).random((30, 7))
+    first = entropy_vector(x)
+    x[:, 0] = 0.5                           # writeable: recomputed, new answer
+    assert np.array_equal(entropy_vector(x), reference_entropy_vector(x))
+    assert not np.array_equal(entropy_vector(x), first)
+    x.flags.writeable = False
+    entropy_vector(x[2:])                   # a read-only view is not memoised
+    entropy_vector(x[2:])
+    assert len(counted_estimator) == 5
+    got = entropy_vector(x)
+    got[:] = -1.0                           # the caller's copy, not the memo's
+    again = entropy_vector(x)
+    assert len(counted_estimator) == 6
+    assert np.array_equal(bits(again), bits(reference_entropy_vector(x)))
+    entropy_vector(x, EntropyConfig(bins=16))
+    assert len(counted_estimator) == 7
+    ref = weakref.ref(x)
+    del x
+    gc.collect()
+    assert ref() is None                    # the memo holds the corpus weakly
 
 
 # --- slope -----------------------------------------------------------------
