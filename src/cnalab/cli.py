@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-    cnalab train --config F [--record-trajectory]
+    cnalab train --config F
     cnalab suite --config F [--jobs N]
     cnalab landscape --run DIR [--resolution R] [--out DIR]
     cnalab report --runs GLOB [--out DIR]
@@ -9,11 +9,13 @@
 Exit codes: 0 ok, 2 config error (unreadable or non-object --config/--data
 JSON, a missing field, or a field value of the wrong type or out of range),
 3 data/format/shape or OS error, 4 numeric failure or undefined correlation.
+metrics --data keys "aggregation"/"include_output" override the checkpoint's.
 """
 
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .checkpoint import load_checkpoint
 from .config import MetricOptions, load_config, read_json, resolve_datasets
@@ -23,11 +25,8 @@ from .metrics import gap_metric_set
 
 
 def cmd_train(args):
-    cfg = load_config(args.config)
-    if args.record_trajectory:
-        cfg.record_trajectory = True
     from .harness import run_training
-    run_training(cfg)
+    run_training(load_config(args.config))
     return 0
 
 
@@ -58,10 +57,13 @@ def cmd_metrics(args):
         spec = json.loads(args.data)
     except json.JSONDecodeError:
         spec = read_json(args.data)
-    ck = load_checkpoint(args.checkpoint)
+    net = load_checkpoint(args.checkpoint).net
     train_ds, test_ds = resolve_datasets(spec)
-    opts = MetricOptions.from_dict(spec.get("metrics") or {})
-    metrics = gap_metric_set(ck.net, train_ds, test_ds, opts.entropy,
+    given = spec.get("metrics") or {}
+    opts = MetricOptions.from_dict(given)
+    net = replace(net, **{k: getattr(opts, k) for k in ("aggregation", "include_output")
+                          if given.get(k) is not None})
+    metrics = gap_metric_set(net, train_ds, test_ds, opts.entropy,
                              opts.margin_percentile, opts.cna_split)
     print(json.dumps(metrics.to_dict(), indent=2))
     return 0
@@ -74,8 +76,6 @@ def build_parser():
 
     p = sub.add_parser("train", help="train one experiment cell")
     p.add_argument("--config", required=True)
-    p.add_argument("--record-trajectory", action="store_true",
-                   help="record probe activations every minibatch update")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("suite", help="run a dataset x corruption x architecture grid")

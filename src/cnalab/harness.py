@@ -105,16 +105,17 @@ def run_training(cfg, log=print):
     test_alphas = entropy_vector(test_ds.inputs, opts.entropy)
     bins = complexity_bins(test_alphas, CURVE_BINS)
 
+    batches_per_epoch = -(-len(train_ds) // cfg.optimizer.batch_size)
     trajectory = None
     if cfg.record_trajectory:
         probe_idx = _select_probe(len(test_ds), cfg.probe_size, cfg.probe_seed)
         probe = test_ds.inputs[probe_idx]
-        trajectory = _load_trajectory(cfg.output_dir)[0] or \
-            Trajectory(probe_shape=probe.shape, n_layers=net.n_layers)
+        saved, kept = _load_trajectory(cfg.output_dir)[0], start_epoch * batches_per_epoch
+        trajectory = Trajectory(probe.shape, net.n_layers,   # later steps are taken again
+                                [s for s in saved.samples if s.step < kept] if saved else [])
 
     curves = os.path.join(cfg.output_dir, "curves.csv")
     write_csv(curves, "curves", ("epoch", "bin", "mean_error"), _load_curves(curves, start_epoch))
-    batches_per_epoch = -(-len(train_ds) // cfg.optimizer.batch_size)
     snapshots = []
 
     for epoch in range(start_epoch + 1, cfg.epochs + 1):
@@ -207,7 +208,8 @@ def build_suite_cells(suite):
     """Expand a suite config into per-cell ExperimentConfigs: every grid
     dataset x corruption x arch, then the extra_runs. The suite's keys for
     ExperimentConfig fields other than dataset, arch and output_dir apply
-    to every cell, and an extra run may override them."""
+    to every cell, and an extra run may override them. Cells sharing an
+    output directory (cell_id spells no seed, size, kernel or stride) are a ConfigError."""
     output_root = as_type(str, suite.get("output_root"), "output_root")
     grid = as_type(dict, suite.get("grid", {}), "grid")
     runs = [{"dataset": as_type(dict, ds, "grid.datasets") | {"corruption": corruption},
@@ -219,17 +221,18 @@ def build_suite_cells(suite):
              for run in as_type(list, suite.get("extra_runs", []), "extra_runs")]
     shared = {f.name: suite[f.name] for f in fields(ExperimentConfig)
               if f.name in suite and f.name not in ("dataset", "arch", "output_dir")}
-    cells = []
+    cells = {}
     for run in runs:
         # a run without an output_dir gets its cell_id, named once the config is checked
         cfg = ExperimentConfig.from_dict({"epochs": SUITE_EPOCHS, "output_dir": output_root,
                                           **shared, **run})
         if "output_dir" not in run:
             cfg.output_dir = os.path.join(output_root, cell_id(cfg.dataset, cfg.arch))
-        cells.append(cfg)
+        if cells.setdefault(os.path.normpath(cfg.output_dir), cfg) is not cfg:
+            raise ConfigError(f"two suite cells share the output directory {cfg.output_dir}")
     if not cells:
         raise ConfigError("suite config expands to zero cells")
-    return cells
+    return list(cells.values())
 
 
 def _run_cell(cfg):
@@ -280,7 +283,7 @@ def make_landscape(run_dir, resolution=41, out_dir=None, log=print):
     out_dir = out_dir or run_dir
     trajectory, probe_alphas = _load_trajectory(run_dir)
     if trajectory is None:
-        raise DataError(f"{run_dir}: no trajectory.npz; train with --record-trajectory")
+        raise DataError(f"{run_dir}: no trajectory.npz; train with \"record_trajectory\": true")
 
     basis, path = pca2(trajectory)
     xs, ys = path[:, 0], path[:, 1]

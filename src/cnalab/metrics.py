@@ -20,7 +20,7 @@ memoised per process.
 import collections
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -129,9 +129,7 @@ def slope(z_row):
     z = np.asarray(z_row, dtype=np.float64)
     if z.ndim != 1 or z.size < 2:
         raise DataError("slope needs a vector of at least 2 per-layer values")
-    ell = np.arange(1, z.size + 1, dtype=np.float64)
-    ell_c = ell - ell.mean()
-    return float((ell_c @ (z - z.mean())) / (ell_c @ ell_c))
+    return float(slope_vector(z[None])[0])
 
 
 def slope_vector(z):
@@ -169,16 +167,9 @@ def pearson(a, b, names=("a", "b")):
     return float(np.clip(rho, -1.0, 1.0))
 
 
-def cna(net, inputs, cfg=EntropyConfig(), alphas=None):
-    """Pearson correlation between input entropy and activation slope.
-
-    alphas, when given, must be the precomputed entropy vector for these
-    inputs (it does not change over training, so callers computing the
-    CNA every epoch pass it in).
-    """
-    if alphas is None:
-        alphas = entropy_vector(inputs, cfg)
-    return _cna(alphas, trace_over_dataset(net, inputs)[0])
+def cna(net, inputs, cfg=EntropyConfig()):
+    """Pearson correlation between input entropy and activation slope."""
+    return _cna(entropy_vector(inputs, cfg), trace_over_dataset(net, inputs)[0])
 
 
 def _cna(alphas, z):
@@ -193,8 +184,7 @@ def output_margin(logits, label):
         raise DataError("output_margin needs at least 2 classes")
     if not 0 <= label < logits.size:
         raise DataError(f"label {label} out of range [0, {logits.size})")
-    others = np.delete(logits, label)
-    return float(logits[label] - others.max())
+    return float(margin_vector(logits.reshape(1, -1), [label])[0])
 
 
 def margin_vector(logits, labels):
@@ -217,12 +207,11 @@ def margin_factor(margins, percentile=10.0):
     return float(np.clip(gamma / sd, 0.0, 1.0))
 
 
-def cna_margin(net, train_ds, cfg=EntropyConfig(), percentile=10.0, alphas=None):
+def cna_margin(net, train_ds, cfg=EntropyConfig(), percentile=10.0):
     """CNA on the training set scaled by the clamped normalized margin."""
-    if alphas is None:
-        alphas = entropy_vector(train_ds.inputs, cfg)
     z, logits = trace_over_dataset(net, train_ds.inputs)
-    return _margin_scaled(_cna(alphas, z), margin_vector(logits, train_ds.labels), percentile)
+    return _margin_scaled(_cna(entropy_vector(train_ds.inputs, cfg), z),
+                          margin_vector(logits, train_ds.labels), percentile)
 
 
 def _margin_scaled(cna_value, margins, percentile):
@@ -309,9 +298,6 @@ def _norms(net, gamma):
     return out
 
 
-METRIC_NAMES = ("cna", "cna_margin", "frobenius", "spectral", "path", "spectral_product")
-
-
 @dataclass
 class GapMetricSet:
     """One snapshot's scalar metric ledger. Normalized norm metrics are
@@ -325,7 +311,10 @@ class GapMetricSet:
     spectral_product: float | None = None
 
     def to_dict(self):
-        return {name: getattr(self, name) for name in METRIC_NAMES}
+        return asdict(self)
+
+
+METRIC_NAMES = tuple(f.name for f in fields(GapMetricSet))
 
 
 def gap_metric_set(net, train_ds, test_ds, cfg=EntropyConfig(), percentile=10.0,

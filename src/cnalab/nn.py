@@ -17,6 +17,9 @@ include_output=True. The Network constructor derives depth_map and
 layer_shapes from the specs, and rejects params that are not one W (and
 a b iff spec.bias) of the right shape per parameterized layer.
 
+check_finite raises NumericError on NaN/Inf. forward and
+loss_and_gradients check the logits, backward each gradient.
+
 Everything runs single-threaded with numpy's fixed reduction order, so
 (seed, config) determines every result bitwise.
 """
@@ -26,11 +29,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import DataError, NumericError, ShapeError
 from .rng import seeded_rng
-from .tensor import check_finite
 
 PARAM_KINDS = ("dense", "conv2d")
+
+
+def check_finite(arr, context):
+    """Raise NumericError if arr contains NaN or Inf; returns arr."""
+    if not np.all(np.isfinite(arr)):
+        bad = int(np.size(arr) - np.count_nonzero(np.isfinite(arr)))
+        raise NumericError(f"non-finite values ({bad} elements) in {context}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -356,13 +366,13 @@ def loss_and_gradients(net, batch, labels):
             grad = grad * (cache > 0)
         elif spec.kind == "flatten":
             grad = grad.reshape(cache)
-    for idx in grads:
-        for name, g in grads[idx].items():
-            check_finite(g, f"gradient of layer {idx} {name}")
     return loss, grads, logits
 
 
 def backward(net, batch, labels):
     """Gradients of the mean cross-entropy w.r.t. every parameter."""
     _, grads, _ = loss_and_gradients(net, batch, labels)
+    for idx in grads:
+        for name, g in grads[idx].items():
+            check_finite(g, f"gradient of layer {idx} {name}")
     return grads

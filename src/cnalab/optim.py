@@ -1,14 +1,17 @@
 """SGD and Adam updates, the epoch training loop, and evaluation: one
-batched recorded pass (trace_over_dataset) whose logits score() reads."""
+batched recorded pass (trace_over_dataset) whose logits score() reads.
+A step checks its logits and updated parameters finite: a non-finite
+gradient makes its parameter non-finite, so it fails at its own step."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError
-from .nn import cross_entropy, forward, loss_and_gradients
+from .nn import check_finite, cross_entropy, forward, loss_and_gradients
 from .rng import seeded_rng
-from .tensor import check_finite
+
+EVAL_BATCH = 512    # rows per slice of an evaluation pass and of its loss sum
 
 
 @dataclass(frozen=True)
@@ -108,33 +111,33 @@ def train_epoch(net, train_ds, cfg, state, shuffle_seed, epoch, on_batch=None):
     return loss_sum / n, correct / n
 
 
-def trace_over_dataset(net, inputs, batch_size=512):
+def trace_over_dataset(net, inputs):
     """The batched evaluation pass: recorded (N, L) pre-activation aggregates
     and logits, in a fixed batch order so the result is batch-size independent."""
     n = inputs.shape[0]
     if n == 0:
         raise DataError("cannot evaluate an empty dataset")
-    passes = [forward(net, inputs[b], record=True) for b in iter_batches(n, batch_size)]
+    passes = [forward(net, inputs[b], record=True) for b in iter_batches(n, EVAL_BATCH)]
     return np.vstack([trace.z for _, trace in passes]), np.vstack([lg for lg, _ in passes])
 
 
-def score(logits, labels, batch_size=512):
+def score(logits, labels):
     """Accuracy, mean loss, and per-datapoint error flags of a pass's logits.
 
     Predictions use argmax with the lowest class index winning ties
     (numpy's argmax convention). flags[i] is True where point i is
     misclassified, so accuracy == 1 - mean(flags). The loss adds up each
-    batch_size-row slice's mean cross-entropy times its rows, in order.
+    EVAL_BATCH-row slice's mean cross-entropy times its rows, in order.
     """
     n = len(labels)
     flags = np.argmax(logits, axis=1) != labels
     loss_sum = sum(cross_entropy(logits[b], labels[b]) * len(b)
-                   for b in iter_batches(n, batch_size))
+                   for b in iter_batches(n, EVAL_BATCH))
     # direct count ratio: exact chance-level values on balanced sets
     accuracy = float(n - int(flags.sum())) / n
     return accuracy, loss_sum / n, flags
 
 
-def evaluate(net, ds, batch_size=512):
+def evaluate(net, ds):
     """Accuracy, mean loss, and error flags of ds: score() of one pass."""
-    return score(trace_over_dataset(net, ds.inputs, batch_size)[1], ds.labels, batch_size)
+    return score(trace_over_dataset(net, ds.inputs)[1], ds.labels)

@@ -32,10 +32,7 @@ class RunRecord:
 
     def to_json(self):
         obj = {name: getattr(self, name) for name in _CORE_FIELDS}
-        obj["metrics"] = {k: self.metrics.get(k) for k in METRIC_NAMES}
-        for k in self.metrics:
-            if k not in METRIC_NAMES:
-                obj["metrics"][k] = self.metrics[k]
+        obj["metrics"] = dict.fromkeys(METRIC_NAMES) | self.metrics
         obj.update(self.extra)
         return json.dumps(obj, indent=2) + "\n"
 

@@ -621,3 +621,58 @@ def test_legacy_latest_checkpoint_resumes_then_is_removed(tmp_path, capsys, late
     assert main(["train", "--config", str(more_path)]) == 0
     assert "from epoch 1" in capsys.readouterr().out
     assert run_files(cfg["output_dir"]) == latest_run
+
+
+def test_resume_from_an_older_checkpoint_keeps_each_trajectory_step_once(tmp_path):
+    runs = {}
+    for name in ("full", "resumed"):
+        runs[name] = toy_config(tmp_path, name, epochs=2, record_trajectory=True,
+                                probe_size=16)
+        assert main(["train", "--config", str(runs[name][0])]) == 0
+    resumed = runs["resumed"][1]["output_dir"]
+    os.unlink(os.path.join(resumed, "ckpt_epoch0002.cnac"))
+    assert main(["train", "--config", str(runs["resumed"][0])]) == 0
+    with np.load(os.path.join(runs["full"][1]["output_dir"], "trajectory.npz")) as a, \
+            np.load(os.path.join(resumed, "trajectory.npz")) as b:
+        assert list(a["steps"]) == list(range(10))       # 150 rows / 32 = 5 steps an epoch
+        assert sorted(a.files) == sorted(b.files)
+        for key in a.files:
+            assert a[key].dtype == b[key].dtype and np.array_equal(a[key], b[key]), key
+
+
+@pytest.mark.parametrize("change", ["seed", "kernel", "corruption"])
+def test_suite_cells_sharing_a_directory_exit_2_before_writing(tmp_path, capsys, change):
+    path, suite = suite_config(tmp_path)
+    grid = suite["grid"]
+    if change == "seed":
+        grid["datasets"].append(dict(grid["datasets"][0], seed=4))
+    elif change == "kernel":
+        grid["archs"] = [{"name": "cnn", "channels": [4, 4], "kernel": k} for k in (3, 5)]
+    else:
+        grid["corruptions"] = [0.3, 0.301]
+    path.write_text(json.dumps(suite))
+    assert main(["suite", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and suite["output_root"] in err
+    assert "Traceback" not in err
+    assert not os.path.exists(suite["output_root"])
+
+
+@pytest.mark.parametrize("key, value", [("aggregation", "sum"), ("include_output", True)])
+def test_metrics_data_depth_keys_rebuild_the_checkpoint_net(tmp_path, capsys, key, value):
+    from dataclasses import replace
+
+    from cnalab.checkpoint import load_checkpoint
+    from cnalab.config import resolve_datasets
+    from cnalab.metrics import gap_metric_set
+    cfg_path, cfg = toy_config(tmp_path, "depth", arch={"name": "mlp", "hidden": [16, 8]})
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    ckpt = os.path.join(cfg["output_dir"], "ckpt_epoch0001.cnac")
+    capsys.readouterr()
+    spec = dict(cfg["dataset"], metrics={key: value})
+    assert main(["metrics", "--checkpoint", ckpt, "--data", json.dumps(spec)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    net = load_checkpoint(ckpt).net
+    train_ds, test_ds = resolve_datasets(cfg["dataset"])
+    assert out == gap_metric_set(replace(net, **{key: value}), train_ds, test_ds).to_dict()
+    assert out["cna"] != gap_metric_set(net, train_ds, test_ds).cna

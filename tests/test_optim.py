@@ -179,3 +179,62 @@ def test_nonfinite_value_fails_at_the_step_it_appears():
         train_epoch(net, ds, cfg, init_opt_state(net, cfg), 5, 1,
                     on_batch=lambda s, loss: done.append(s))
     assert done == list(range(step))
+
+
+def count_check_finite(monkeypatch):
+    """Record the context of every check_finite call, wherever cnalab binds it."""
+    import sys
+    original, calls = nn.check_finite, []
+
+    def counting(arr, context):
+        calls.append(context)
+        return original(arr, context)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cnalab") and getattr(module, "check_finite", None) is original:
+            monkeypatch.setattr(module, "check_finite", counting)
+    return calls
+
+
+@pytest.mark.parametrize("arch", [{"name": "mlp", "hidden": [256, 256]},
+                                  {"name": "cnn", "channels": [16, 32], "kernel": 5,
+                                   "stride": 2}], ids=["mlp-256x256", "cnn-16x32"])
+def test_a_step_checks_its_logits_and_each_updated_parameter(monkeypatch, arch):
+    from cnalab.config import build_arch, resolve_datasets
+    train_ds, _ = resolve_datasets({"name": "synthetic-digits", "train_size": 32,
+                                    "test_size": 8, "seed": 7})
+    shape = train_ds.inputs.shape[1:]
+    net = nn.build_network(build_arch(arch, shape, train_ds.classes), 21, shape)
+    cfg = OptConfig(kind="adam", lr=0.002, batch_size=32)
+    state = init_opt_state(net, cfg)
+    calls = count_check_finite(monkeypatch)
+    train_epoch(net, train_ds, cfg, state, 22, 1)          # one step
+    assert calls[0] == "logits"
+    assert len(calls) == 1 + len(list(net.param_items())) == 7
+
+
+def overflow_net():
+    """Finite logits of +-1e10 on inputs of 1e300, but an infinite first-layer
+    gradient: 1e300 times the 5e9 gradient flowing back through W2."""
+    return nn.Network(specs=[nn.dense(1, 1), nn.relu(), nn.dense(1, 2)],
+                      params={0: {"W": np.array([[1e-300]]), "b": np.zeros(1)},
+                              2: {"W": np.array([[1e10, -1e10]]), "b": np.zeros(2)}},
+                      input_shape=(1,))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+@pytest.mark.parametrize("lr", [0.1, 0.0])
+def test_gradient_overflow_under_finite_logits_fails_at_step_0(kind, lr):
+    x, y = np.full((4, 1), 1e300), np.ones(4, dtype=np.int64)
+    net = overflow_net()
+    logits, _ = nn.forward(net, x)
+    assert np.all(np.isfinite(logits)) and np.all(np.abs(logits) > 9e9)
+    with pytest.raises(NumericError):
+        nn.backward(net, x, y)
+    cfg = OptConfig(kind=kind, lr=lr, batch_size=4)
+    done = []
+    with pytest.raises(NumericError):
+        train_epoch(net, LabeledDataset(x, y, 2), cfg, init_opt_state(net, cfg), 0, 1,
+                    on_batch=lambda s, loss: done.append(s))
+    assert done == []
