@@ -102,15 +102,15 @@ def _from_meta(meta, raw, offset, version):
     tables = _tables(params, state)
     for block in meta["blocks"]:
         shape = tuple(block["shape"])
-        nbytes = int(np.prod(shape)) * 8
-        if offset + nbytes > len(raw):
+        count = int(np.prod(shape))
+        if not 0 <= count * 8 <= len(raw) - offset:
             raise FormatError(f"truncated parameter block {block['name']}")
         prefix, idx, name = block["name"].split("/")
         if prefix not in tables:
             raise FormatError(f"unknown block prefix {prefix!r}")
         tables[prefix].setdefault(int(idx), {})[name] = np.frombuffer(
-            raw[offset:offset + nbytes], dtype="<f8").reshape(shape).copy()
-        offset += nbytes
+            raw, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
+        offset += count * 8
     if offset != len(raw):
         raise FormatError(f"{len(raw) - offset} trailing bytes after last block")
     if any(table and _layout(table) != _layout(params) for table in (state.m, state.v)):

@@ -229,8 +229,8 @@ def resolve_datasets(dataset_cfg):
         n_train = train_size or 1000
         n_test = test_size or n_train
         full = data_mod.gaussian_noise_dataset(n_train + n_test, seed)
-        train = full.subset(range(n_train), {"split": "train"})
-        test = full.subset(range(n_train, n_train + n_test), {"split": "test"})
+        train = full.subset(slice(n_train), {"split": "train"})          # row views
+        test = full.subset(slice(n_train, None), {"split": "test"})
 
     corruption = corruption_of(dataset_cfg)
     if corruption > 0.0:

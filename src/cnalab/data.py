@@ -51,10 +51,10 @@ class LabeledDataset:
         return self.inputs.shape[0]
 
     def subset(self, indices, provenance_update=None):
+        """The rows at indices: copies for an index array or range, views for a slice."""
         prov = dict(self.provenance)
         prov.update(provenance_update or {})
-        return LabeledDataset(self.inputs[indices].copy(), self.labels[indices].copy(),
-                              self.classes, prov)
+        return LabeledDataset(self.inputs[indices], self.labels[indices], self.classes, prov)
 
 
 def _read_idx(path, expected_magic, expected_ndim):

@@ -233,17 +233,17 @@ def spectral_norm(w, tol=1e-10, max_iter=50000):
         w = w.T
     rng = np.random.default_rng(0x5EC7)
     v = rng.standard_normal(w.shape[1])
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(v.dot(v))
     u = w @ v
     sigma = 0.0
     for _ in range(max_iter):
         v = w.T @ u
-        norm = np.linalg.norm(v)
+        norm = math.sqrt(v.dot(v))
         if norm == 0.0:
             return 0.0          # W v hit the null space: W is zero on it
         v /= norm
         u = w @ v
-        sigma_new = float(np.linalg.norm(u))
+        sigma_new = math.sqrt(u.dot(u))
         if abs(sigma_new - sigma) <= tol * max(sigma_new, 1.0):
             return sigma_new
         sigma = sigma_new

@@ -3,6 +3,7 @@ batched recorded pass (trace_over_dataset) whose logits score() reads.
 A step checks its logits and updated parameters finite: a non-finite
 gradient makes its parameter non-finite, so it fails at its own step."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,6 +13,8 @@ from .nn import check_finite, cross_entropy, forward, loss_and_gradients
 from .rng import seeded_rng
 
 EVAL_BATCH = 512    # rows per slice of an evaluation pass and of its loss sum
+BLOCK = 1 << 14     # values per block of an optimizer step
+_SCRATCH = np.empty((2, BLOCK))     # a step's only temporaries; the engine is single-threaded
 
 
 @dataclass(frozen=True)
@@ -50,29 +53,41 @@ def init_opt_state(net, cfg):
     return state
 
 
-def apply_update(net, grads, cfg, state):
-    """One optimizer step, in place."""
-    if cfg.kind == "sgd":
-        for idx, g in grads.items():
-            for name, garr in g.items():
-                net.params[idx][name] -= cfg.lr * garr
+def _blocks(arr):
+    """Index tuples of basic slices (views for any layout) that cut arr
+    along its leading axes into blocks of at most BLOCK values."""
+    row = math.prod(arr.shape[1:])
+    if row > BLOCK:
+        for i in range(len(arr)):
+            yield from ((i,) + rest for rest in _blocks(arr[i]))
     else:
+        step = BLOCK // max(row, 1)
+        yield from ((slice(start, start + step),) for start in range(0, len(arr), step))
+
+
+def apply_update(net, grads, cfg, state):
+    """One optimizer step, in place, block by block through two fixed
+    scratch blocks: the whole-array formulas' operations in their order,
+    so the same bits (c * g is g * c in IEEE arithmetic)."""
+    if cfg.kind == "adam":
         state.t += 1
-        bc1 = 1.0 - cfg.beta1 ** state.t
-        bc2 = 1.0 - cfg.beta2 ** state.t
-        for idx, g in grads.items():
-            for name, garr in g.items():
-                m = state.m[idx][name]
-                v = state.v[idx][name]
+        bc1, bc2 = 1.0 - cfg.beta1 ** state.t, 1.0 - cfg.beta2 ** state.t
+    for idx, name, p in net.param_items():
+        for at in _blocks(p):
+            pb, g = p[at], grads[idx][name][at]
+            a, b = (s[:pb.size].reshape(pb.shape) for s in _SCRATCH)
+            if cfg.kind == "sgd":
+                pb -= np.multiply(g, cfg.lr, out=a)                 # lr * g
+            else:
+                m, v = state.m[idx][name][at], state.v[idx][name][at]
                 m *= cfg.beta1
-                m += (1.0 - cfg.beta1) * garr
+                m += np.multiply(g, 1.0 - cfg.beta1, out=a)         # (1 - b1) * g
                 v *= cfg.beta2
-                v += (1.0 - cfg.beta2) * garr * garr
-                mhat = m / bc1
-                vhat = v / bc2
-                net.params[idx][name] -= cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
-    for idx, name, arr in net.param_items():
-        check_finite(arr, f"parameters of layer {idx} {name} after update")
+                v += np.multiply(np.multiply(g, 1.0 - cfg.beta2, out=a), g, out=a)
+                np.multiply(np.divide(m, bc1, out=a), cfg.lr, out=a)    # lr * (m / bc1)
+                np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), cfg.eps, out=b)
+                pb -= np.divide(a, b, out=a)
+        check_finite(p, f"parameters of layer {idx} {name} after update")
 
 
 def iter_batches(n, batch_size, order=None):

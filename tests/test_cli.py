@@ -484,7 +484,6 @@ def test_one_hidden_layer_with_the_output_layer_mapped_parses(tmp_path):
     assert load_config(cfg_path).arch == {"name": "mlp", "hidden": [8]}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def poison_train_row(monkeypatch, value):
     """Make the training inputs' row 17 all value."""
     from cnalab import harness
@@ -499,6 +498,7 @@ def poison_train_row(monkeypatch, value):
     monkeypatch.setattr(harness, "resolve_datasets", poisoned)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_step_exits_4_without_that_epochs_record(tmp_path, monkeypatch, capsys):
     poison_train_row(monkeypatch, 1e308)      # finite, but the first step overflows
     cfg_path, cfg = toy_config(tmp_path, epochs=2)

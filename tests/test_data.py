@@ -86,6 +86,21 @@ def test_gaussian_label_histogram_within_binomial_bound():
     assert np.all(np.abs(counts - 1000) < 5 * sigma)
 
 
+@pytest.mark.parametrize("sizes", [{"train_size": 30, "test_size": 20}, {"train_size": 25}])
+def test_gaussian_split_is_row_views_with_the_copies_bytes_and_provenance(sizes):
+    train, test = resolve_datasets({"name": "gaussian-noise", "seed": 4, **sizes})
+    n_train, n_test = sizes["train_size"], sizes.get("test_size", sizes["train_size"])
+    full = gaussian_noise_dataset(n_train + n_test, seed=4)
+    for ds, rows, name in ((train, np.arange(n_train), "train"),
+                           (test, np.arange(n_train, n_train + n_test), "test")):
+        assert ds.inputs.tobytes() == full.inputs[rows].copy().tobytes()
+        assert ds.labels.tobytes() == full.labels[rows].copy().tobytes()
+        assert ds.provenance == {"source": "gaussian-noise", "seed": 4, "split": name}
+        assert ds.classes == 10 and not ds.inputs.flags.owndata
+    assert train.inputs.base is test.inputs.base
+    assert not np.shares_memory(train.inputs, test.inputs)
+
+
 def test_corrupt_zero_fraction_is_identity():
     ds = gaussian_noise_dataset(50, seed=1)
     out = corrupt_labels(ds, 0.0, seed=2)

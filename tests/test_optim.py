@@ -6,8 +6,8 @@ import pytest
 from cnalab import nn
 from cnalab.data import LabeledDataset
 from cnalab.errors import DataError, NumericError
-from cnalab.optim import (OptConfig, evaluate, init_opt_state, iter_batches, score,
-                          trace_over_dataset, train_epoch)
+from cnalab.optim import (BLOCK, OptConfig, apply_update, evaluate, init_opt_state,
+                          iter_batches, score, trace_over_dataset, train_epoch)
 from cnalab.rng import seeded_rng
 
 
@@ -238,3 +238,92 @@ def test_gradient_overflow_under_finite_logits_fails_at_step_0(kind, lr):
         train_epoch(net, LabeledDataset(x, y, 2), cfg, init_opt_state(net, cfg), 0, 1,
                     on_batch=lambda s, loss: done.append(s))
     assert done == []
+
+
+def whole_array_update(net, grads, cfg, state):
+    """The whole-array SGD/Adam step that the blocked loop replaced, verbatim."""
+    if cfg.kind == "sgd":
+        for idx, g in grads.items():
+            for name, garr in g.items():
+                net.params[idx][name] -= cfg.lr * garr
+    else:
+        state.t += 1
+        bc1 = 1.0 - cfg.beta1 ** state.t
+        bc2 = 1.0 - cfg.beta2 ** state.t
+        for idx, g in grads.items():
+            for name, garr in g.items():
+                m = state.m[idx][name]
+                v = state.v[idx][name]
+                m *= cfg.beta1
+                m += (1.0 - cfg.beta1) * garr
+                v *= cfg.beta2
+                v += (1.0 - cfg.beta2) * garr * garr
+                mhat = m / bc1
+                vhat = v / bc2
+                net.params[idx][name] -= cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
+    for idx, name, arr in net.param_items():
+        nn.check_finite(arr, f"parameters of layer {idx} {name} after update")
+
+
+class Params:
+    """The part of a Network an optimizer step reads: params and param_items."""
+    param_items = nn.Network.param_items
+
+    def __init__(self, arrays):
+        self.params = {idx: {"W": arr} for idx, arr in enumerate(arrays)}
+
+
+def random_arrays(rng, shapes, transposed=False):
+    arrays = [rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3, size=shape)
+              for shape in shapes]
+    return [a.T if transposed else a for a in arrays]
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+@pytest.mark.parametrize("lr", [0.003, 0.0])
+@pytest.mark.parametrize("shapes", [
+    [(1,), (BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (3 * BLOCK + 5,)],
+    [(16, 1, 5, 5), (32, 16, 5, 5), (3, 2, 100, 100), (7,)],
+    [(3072, 256), (256,), (2, BLOCK + 3), (BLOCK + 1, 3)],
+], ids=["sizes", "conv", "dense"])
+@pytest.mark.parametrize("transposed", [False, True], ids=["c-order", "transposed"])
+def test_blocked_step_equals_the_whole_array_step_bitwise(kind, lr, shapes, transposed):
+    rng = np.random.default_rng(len(shapes) + 2 * transposed)
+    start = random_arrays(rng, shapes, transposed)
+    nets = [Params([a.copy(order="K") for a in start]) for _ in range(2)]
+    assert all(a.flags.c_contiguous != transposed or a.ndim == 1 for a in start)
+    cfg = OptConfig(kind=kind, lr=lr)
+    states = [init_opt_state(net, cfg) for net in nets]
+    for _ in range(4):
+        grads = {idx: {"W": g} for idx, g in
+                 enumerate(random_arrays(rng, shapes, transposed))}
+        grads[len(shapes) - 1]["W"].flat[::3] = 0.0
+        apply_update(nets[0], grads, cfg, states[0])
+        whole_array_update(nets[1], grads, cfg, states[1])
+    (blocked, whole), (s_blocked, s_whole) = nets, states
+    assert s_blocked.t == s_whole.t
+    for idx, name, arr in whole.param_items():
+        assert blocked.params[idx][name].tobytes() == arr.tobytes()
+        if lr:
+            assert arr.tobytes() != start[idx].tobytes()
+        else:
+            assert arr.tobytes() == start[idx].tobytes()
+        for table in ("m", "v") if kind == "adam" else ():
+            assert (getattr(s_blocked, table)[idx][name].tobytes()
+                    == getattr(s_whole, table)[idx][name].tobytes())
+
+
+def test_an_adam_step_on_a_wide_layer_allocates_under_1_mb():
+    import tracemalloc
+    rng = np.random.default_rng(0)
+    net = Params([rng.normal(size=(3072, 256)), rng.normal(size=256)])
+    cfg = OptConfig(kind="adam", lr=0.001)
+    state = init_opt_state(net, cfg)
+    grads = {idx: {"W": rng.normal(size=arr.shape)} for idx, _, arr in net.param_items()}
+    tracemalloc.start()
+    try:
+        apply_update(net, grads, cfg, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
