@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError, UndefinedCorrelationError
 from .metrics import METRIC_NAMES, _cna, pearson
-from .nn import forward, layer_preactivations
+from .nn import forward
 
 
 @dataclass
@@ -33,10 +33,6 @@ class Trajectory:
     n_layers: int
     samples: list = field(default_factory=list)
 
-    @property
-    def probe_n(self):
-        return self.probe_shape[0]
-
     def states(self):
         return np.stack([s.state for s in self.samples])
 
@@ -46,18 +42,9 @@ class Trajectory:
         self.samples.append(sample)
 
 
-def record_state(net, probe, step, loss, full_neurons=False):
-    """Snapshot the probe batch's activation state.
-
-    Default: the flattened (probe_N x L) per-layer aggregates. With
-    full_neurons set, every pre-activation value of every depth-mapped
-    layer is recorded instead; that mode exists for fidelity checks on
-    tiny networks and is not consumed by the landscape pipeline.
-    """
-    if full_neurons:
-        blocks = layer_preactivations(net, probe)
-        state = np.concatenate([b.reshape(b.shape[0], -1) for b in blocks], axis=1)
-        return TrajectorySample(step=int(step), state=state.ravel(), loss=float(loss))
+def record_state(net, probe, step, loss):
+    """Snapshot the probe batch's activation state: the flattened
+    (probe_N x L) per-layer aggregates of the recorded forward trace."""
     _, trace = forward(net, probe, record=True)
     return TrajectorySample(step=int(step), state=trace.z.ravel().copy(), loss=float(loss))
 
@@ -77,15 +64,13 @@ class Pca2Basis:
 
 
 def pca2(samples):
-    """Top-2 principal directions of a trajectory's states.
+    """Top-2 principal directions of a list of trajectory samples' states.
 
     Returns (basis, path) where path is the (T, 2) projection of each
     sample in step order. Component signs are fixed by making each
     component's largest-magnitude entry positive. A trajectory with fewer
     than two directions of variance is reported via effective_rank=1.
     """
-    if isinstance(samples, Trajectory):
-        samples = samples.samples
     if len(samples) < 3:
         raise DataError("pca2 needs at least 3 trajectory samples")
     states = np.stack([s.state for s in samples])
@@ -150,17 +135,16 @@ class LandscapeGrid:
 
 
 def cna_landscape(basis, x_range, y_range, resolution, probe_alphas):
-    """CNA over a regular grid in the principal-component plane."""
+    """CNA over a resolution x resolution grid in the principal-component plane."""
     if basis.effective_rank < 2:
         raise DataError("landscape needs a rank-2 basis; trajectory was 1-D")
-    rx, ry = (resolution, resolution) if np.isscalar(resolution) else resolution
-    if rx < 2 or ry < 2:
-        raise DataError("landscape resolution must be >= 2 per axis")
-    xs = np.linspace(x_range[0], x_range[1], rx)
-    ys = np.linspace(y_range[0], y_range[1], ry)
+    if resolution < 2:
+        raise DataError("landscape resolution must be >= 2")
+    xs = np.linspace(x_range[0], x_range[1], resolution)
+    ys = np.linspace(y_range[0], y_range[1], resolution)
     gx, gy = np.meshgrid(xs, ys)
     coords = np.column_stack([gx.ravel(), gy.ravel()])
-    values = cna_at_points(basis, coords, probe_alphas).reshape(ry, rx)
+    values = cna_at_points(basis, coords, probe_alphas).reshape(resolution, resolution)
     return LandscapeGrid(xs=xs, ys=ys, values=values)
 
 
@@ -242,13 +226,14 @@ def gap_correlation_report(runs, metric_names=None, min_runs=3, group_by="arch")
         metric_names = METRIC_NAMES
     if group_by not in ("arch", "dataset"):
         raise DataError(f"group_by must be 'arch' or 'dataset', got {group_by!r}")
-    key = (lambda r: r.arch) if group_by == "arch" else (lambda r: r.dataset)
     runs = sorted(runs, key=lambda r: (r.dataset, r.arch, r.corruption, r.epoch))
-    groups = [ALL_NETS] + sorted({key(r) for r in runs})
+    buckets = {}
+    for r in runs:
+        buckets.setdefault(getattr(r, group_by), []).append(r)
+    groups = [(ALL_NETS, runs)] + sorted(buckets.items())
     cells = []
     for metric in metric_names:
-        for group in groups:
-            selected = [r for r in runs if group == ALL_NETS or key(r) == group]
+        for group, selected in groups:
             pairs = [(r.metrics.get(metric), r.gap) for r in selected]
             pairs = [(m, g) for m, g in pairs
                      if m is not None and np.isfinite(m) and g is not None]

@@ -6,7 +6,7 @@ Per-run output directory layout:
     record_epochNNNN.json     one RunRecord per snapshot
     ckpt_epochNNNN.cnac       checkpoint per snapshot ("latest" deletes the older)
     curves.csv                entropy-binned test error per epoch (appended)
-    trajectory.npz            probe states per minibatch (when recorded)
+    trajectory.npz            states, steps, losses, probe_alphas (when recorded)
 Each file is written to <name>.tmp and renamed into place; curves.csv is
 written at start (with the resumed epochs' rows), then appended to.
 """
@@ -16,7 +16,6 @@ import glob
 import json
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -177,21 +176,21 @@ def _save_trajectory(out_dir, trajectory, probe_alphas):
         np.savez(fh, states=trajectory.states(),
                  steps=np.array([s.step for s in trajectory.samples]),
                  losses=np.array([s.loss for s in trajectory.samples]),
-                 probe_alphas=probe_alphas, probe_n=trajectory.probe_n,
-                 n_layers=trajectory.n_layers)
+                 probe_alphas=probe_alphas)
 
 
 def _load_trajectory(out_dir):
-    """The Trajectory saved in out_dir and its probe entropies, or (None, None)."""
+    """The Trajectory saved in out_dir and its probe entropies, or (None, None);
+    the probe size is the entropies' length, the layer count the state width over it."""
     path = os.path.join(out_dir, "trajectory.npz")
     if not os.path.exists(path):
         return None, None
     with np.load(path) as z:
-        traj = Trajectory(probe_shape=(int(z["probe_n"]),), n_layers=int(z["n_layers"]))
-        for step, state, loss in zip(z["steps"], z["states"], z["losses"]):
-            traj.append(TrajectorySample(step=int(step), state=state.copy(),
-                                         loss=float(loss)))
-        return traj, z["probe_alphas"]
+        states, probe_alphas = z["states"], z["probe_alphas"]
+        traj = Trajectory(probe_alphas.shape, states.shape[1] // probe_alphas.size)
+        for step, state, loss in zip(z["steps"], states, z["losses"]):
+            traj.append(TrajectorySample(step=int(step), state=state, loss=float(loss)))
+        return traj, probe_alphas
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +259,7 @@ def run_suite(suite, jobs=1, log=print):
         else:
             pending.append(cfg)
     if jobs > 1 and len(pending) > 1:
+        from concurrent.futures import ProcessPoolExecutor   # a slow import; parallel only
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results.extend(pool.map(_run_cell, pending))
     else:
@@ -285,7 +285,7 @@ def make_landscape(run_dir, resolution=41, out_dir=None, log=print):
     if trajectory is None:
         raise DataError(f"{run_dir}: no trajectory.npz; train with \"record_trajectory\": true")
 
-    basis, path = pca2(trajectory)
+    basis, path = pca2(trajectory.samples)
     xs, ys = path[:, 0], path[:, 1]
     # axis ranges: path bounding box expanded 25% per side
     def expand(lo, hi):
@@ -314,14 +314,9 @@ def make_landscape(run_dir, resolution=41, out_dir=None, log=print):
 # Reports
 # ---------------------------------------------------------------------------
 
-def load_records(runs_glob):
-    paths = sorted(glob.glob(runs_glob, recursive=True))
-    return [read_record(p) for p in paths], paths
-
-
 def make_report(runs_glob, out_dir, group_by="arch", log=print):
     """Correlation table + scatter data for a set of RunRecords."""
-    records, paths = load_records(runs_glob)
+    records = [read_record(p) for p in sorted(glob.glob(runs_glob, recursive=True))]
     if len(records) < 3:
         raise DataError(f"need at least 3 RunRecords, glob {runs_glob!r} matched "
                         f"{len(records)}")
@@ -344,7 +339,7 @@ def make_report(runs_glob, out_dir, group_by="arch", log=print):
                     "CNA", "test accuracy",
                     "CNA vs test accuracy (one dot per snapshot)") \
             .save(os.path.join(out_dir, "cna_vs_accuracy.svg"))
-    log(f"[report] {len(records)} records from {len(paths)} files")
+    log(f"[report] {len(records)} records")
     log(f"[report] {finding}")
     return cells, finding
 

@@ -210,13 +210,10 @@ class ActivationTrace:
 
 def _im2col(x, k, s):
     """Extract conv patches: (N, C, H, W) -> (N*oh*ow, C*k*k)."""
-    n, c, h, w = x.shape
-    oh = (h - k) // s + 1
-    ow = (w - k) // s + 1
-    sn, sc, sh, sw = x.strides
-    view = np.lib.stride_tricks.as_strided(
-        x, shape=(n, oh, ow, c, k, k), strides=(sn, sh * s, sw * s, sc, sh, sw))
-    return view.reshape(n * oh * ow, c * k * k), oh, ow
+    n, c = x.shape[:2]
+    view = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+    oh, ow = view.shape[2:4]
+    return view.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * k * k), oh, ow
 
 
 def _col2im(dcols, x_shape, k, s, oh, ow):
@@ -292,9 +289,8 @@ def layer_preactivations(net, batch):
     """Full pre-activation blocks of every depth-mapped layer.
 
     Returns a list of (N, ...) arrays in depth order, one per mapped
-    layer, before any aggregation. This is the full-neuron recording mode
-    used for fidelity checks on tiny networks; the per-layer aggregate of
-    each block reproduces the standard trace exactly.
+    layer, before any aggregation. It is the reference for the recorded
+    trace: the per-layer aggregate of each block reproduces it exactly.
     """
     return [check_finite(a, f"pre-activations of layer {idx}")
             for idx, a, _ in _walk(net, batch) if idx in net.depth_map]

@@ -138,8 +138,9 @@ def scatter_svg(xs, ys, x_label, y_label, title):
 def grouped_bars_svg(cells, title="metric vs gap correlation"):
     """One bar per (metric, group) report cell; undefined cells are drawn
     as gray outlines and labelled 'undef'."""
-    metrics = sorted({c.metric for c in cells}, key=lambda m: [c.metric for c in cells].index(m))
-    groups = sorted({c.group for c in cells}, key=lambda g: [c.group for c in cells].index(g))
+    metrics = list(dict.fromkeys(c.metric for c in cells))
+    groups = list(dict.fromkeys(c.group for c in cells))
+    by_key = {(c.metric, c.group): c for c in cells}
     canvas = SvgCanvas(width=max(640, 90 * len(metrics) * max(1, len(groups)) // 2), height=480)
     pad, base = 50, canvas.height - 80
     scale = (base - 60) / 2.0   # rho in [-1, 1]
@@ -150,7 +151,7 @@ def grouped_bars_svg(cells, title="metric vs gap correlation"):
     for mi, metric in enumerate(metrics):
         x0 = pad + mi * slot
         for gi, group in enumerate(groups):
-            cell = next(c for c in cells if c.metric == metric and c.group == group)
+            cell = by_key[metric, group]
             bx = x0 + (gi + 0.5) * bar_w
             color = group_colors[gi % len(group_colors)]
             if cell.rho is None:

@@ -9,6 +9,7 @@ identical either way.
 """
 
 import os
+import pathlib
 import struct
 import time
 
@@ -177,8 +178,8 @@ def test_criterion_8_rerun_is_byte_identical(fig3_run, tmp_path_factory):
     run_training(cfg, log=lambda *_: None)
     for e in range(1, 21):
         name = f"record_epoch{e:04d}.json"
-        a = open(os.path.join(fig3_run["out_dir"], name), "rb").read()
-        b = open(os.path.join(out_dir, name), "rb").read()
+        a = pathlib.Path(fig3_run["out_dir"], name).read_bytes()
+        b = pathlib.Path(out_dir, name).read_bytes()
         assert a == b, f"RunRecord bytes differ at epoch {e}"
     report_line(8, "20 RunRecord JSON files byte-identical across an independent rerun")
 

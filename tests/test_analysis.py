@@ -45,30 +45,6 @@ def test_record_state_repeatable():
     assert a.state.tobytes() == b.state.tobytes()
 
 
-def test_full_neuron_recording_aggregates_to_standard_state():
-    # fidelity check for the aggregate recording: collapsing the
-    # full-neuron state per layer reproduces the standard state exactly
-    from cnalab.data import LabeledDataset
-    from cnalab.optim import OptConfig, init_opt_state, train_epoch
-    rng = np.random.default_rng(20)
-    ds = LabeledDataset(rng.random((24, 3)), rng.integers(0, 2, 24), 2)
-    net = nn.build_network([nn.dense(3, 4), nn.relu(), nn.dense(4, 5), nn.relu(),
-                            nn.dense(5, 2)], 2, (3,))
-    probe = ds.inputs[:6]
-    cfg = OptConfig(kind="sgd", lr=0.05, batch_size=8)
-    state = init_opt_state(net, cfg)
-    widths = [4, 5]
-    for step in range(3):
-        train_epoch(net, ds, cfg, state, 9, step + 1)
-        agg = record_state(net, probe, step, 0.0)
-        full = record_state(net, probe, step, 0.0, full_neurons=True)
-        blocks = full.state.reshape(6, sum(widths))
-        collapsed = np.column_stack([
-            blocks[:, :widths[0]].mean(axis=1),
-            blocks[:, widths[0]:].mean(axis=1)])
-        assert np.array_equal(collapsed.ravel(), agg.state)
-
-
 def test_trajectory_rejects_dimension_drift():
     traj = Trajectory(probe_shape=(4,), n_layers=2)
     traj.append(TrajectorySample(0, np.zeros(8), 1.0))

@@ -2,11 +2,15 @@
 
 import json
 import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cnalab
 from cnalab.cli import main
 from cnalab.csvio import read_csv, write_csv
 from cnalab.records import RunRecord, read_record, write_record
@@ -48,8 +52,8 @@ def test_train_reruns_are_byte_identical(tmp_path):
     assert main(["train", "--config", str(path_a)]) == 0
     assert main(["train", "--config", str(path_b)]) == 0
     for e in (1, 2):
-        fa = open(os.path.join(cfg_a["output_dir"], f"record_epoch{e:04d}.json"), "rb").read()
-        fb = open(os.path.join(cfg_b["output_dir"], f"record_epoch{e:04d}.json"), "rb").read()
+        fa = pathlib.Path(cfg_a["output_dir"], f"record_epoch{e:04d}.json").read_bytes()
+        fb = pathlib.Path(cfg_b["output_dir"], f"record_epoch{e:04d}.json").read_bytes()
         assert fa == fb
 
 
@@ -68,8 +72,8 @@ def test_train_resume_completes_missing_epochs(tmp_path):
     fresh_path = tmp_path / "fresh.json"
     fresh_path.write_text(json.dumps(fresh))
     assert main(["train", "--config", str(fresh_path)]) == 0
-    a = open(os.path.join(cfg2["output_dir"], "record_epoch0002.json"), "rb").read()
-    b = open(os.path.join(fresh["output_dir"], "record_epoch0002.json"), "rb").read()
+    a = pathlib.Path(cfg2["output_dir"], "record_epoch0002.json").read_bytes()
+    b = pathlib.Path(fresh["output_dir"], "record_epoch0002.json").read_bytes()
     assert a == b
 
 
@@ -135,12 +139,12 @@ def test_suite_grid_and_idempotence(tmp_path):
     root = suite["output_root"]
     cells = sorted(d for d in os.listdir(root) if os.path.isdir(os.path.join(root, d)))
     assert len(cells) == 4      # 1 dataset x 3 corruptions x 1 arch + gaussian
-    summary = json.load(open(os.path.join(root, "suite_summary.json")))
+    summary = json.loads(pathlib.Path(root, "suite_summary.json").read_bytes())
     assert summary["n_failed"] == 0
     assert os.path.exists(os.path.join(root, "report.csv"))
     # rerun: every cell skipped
     assert main(["suite", "--config", str(path)]) == 0
-    summary = json.load(open(os.path.join(root, "suite_summary.json")))
+    summary = json.loads(pathlib.Path(root, "suite_summary.json").read_bytes())
     assert all(c["status"] == "skipped" for c in summary["cells"])
 
 
@@ -148,7 +152,7 @@ def test_suite_parallel_jobs_matches_sequential(tmp_path):
     path, suite = suite_config(tmp_path)
     assert main(["suite", "--config", str(path), "--jobs", "2"]) == 0
     root = suite["output_root"]
-    summary = json.load(open(os.path.join(root, "suite_summary.json")))
+    summary = json.loads(pathlib.Path(root, "suite_summary.json").read_bytes())
     assert summary["n_failed"] == 0
     # worker-pool run produces the same bytes as an in-process run
     seq_root = str(tmp_path / "seq_out")
@@ -161,13 +165,22 @@ def test_suite_parallel_jobs_matches_sequential(tmp_path):
         rec = os.path.join(root, cell, "record_epoch0001.json")
         if os.path.isfile(rec):
             seq_rec = os.path.join(seq_root, cell, "record_epoch0001.json")
-            assert open(rec, "rb").read() == open(seq_rec, "rb").read()
+            assert pathlib.Path(rec).read_bytes() == pathlib.Path(seq_rec).read_bytes()
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    code = ("import sys, cnalab.cli, cnalab.harness; "
+            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cnalab.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_suite_poisoned_cell_does_not_kill_the_rest(tmp_path):
     path, suite = suite_config(tmp_path, poison=True)
     assert main(["suite", "--config", str(path)]) == 0
-    summary = json.load(open(os.path.join(suite["output_root"], "suite_summary.json")))
+    summary = json.loads(pathlib.Path(suite["output_root"], "suite_summary.json").read_bytes())
     statuses = [c["status"] for c in summary["cells"]]
     assert statuses.count("failed") == 1
     assert statuses.count("ok") == 4
@@ -191,7 +204,7 @@ def test_landscape_outputs(tmp_path):
     assert cols == ["step", "loss", "projected_x", "projected_y"]
 
     # SVG polyline endpoints equal the projected CSV coordinates
-    svg = open(os.path.join(out, "landscape.svg")).read()
+    svg = pathlib.Path(out, "landscape.svg").read_text(encoding="utf-8")
     poly = re.search(r'<polyline points="([^"]+)"', svg).group(1)
     pts = [tuple(map(float, p.split(","))) for p in poly.split()]
     xs = [float(r[0]) for r in rows]
@@ -201,6 +214,22 @@ def test_landscape_outputs(tmp_path):
     last = frame.to_px(float(trows[-1][2]), float(trows[-1][3]))
     assert pts[0] == pytest.approx(first, abs=0.01)
     assert pts[-1] == pytest.approx(last, abs=0.01)
+
+
+def test_trajectory_npz_holds_four_arrays_and_older_files_load_the_same(tmp_path):
+    cfg_path, cfg = toy_config(tmp_path, "traj", epochs=2, record_trajectory=True,
+                               probe_size=32)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    run, older = cfg["output_dir"], tmp_path / "older"
+    with np.load(os.path.join(run, "trajectory.npz")) as z:
+        assert sorted(z.files) == ["losses", "probe_alphas", "states", "steps"]
+        arrays = dict(z)
+    older.mkdir()
+    np.savez(older / "trajectory.npz", **arrays, probe_n=np.int64(32), n_layers=np.int64(2))
+    for run_dir in (run, older):
+        assert main(["landscape", "--run", str(run_dir), "--resolution", "5"]) == 0
+    for name in ("landscape.csv", "trajectory.csv"):
+        assert pathlib.Path(older, name).read_bytes() == pathlib.Path(run, name).read_bytes()
 
 
 def test_landscape_requires_trajectory(tmp_path, capsys):
@@ -237,7 +266,7 @@ def test_report_hand_computed_csv(tmp_path):
     assert float(table[("cna", "All Nets")]) == pytest.approx(expect, abs=1e-12)
     # constant columns are undefined -> empty cell
     assert table[("spectral", "All Nets")] == ""
-    report = json.load(open(out / "report.json"))
+    report = json.loads(pathlib.Path(out / "report.json").read_bytes())
     assert "finding" in report
     assert os.path.exists(out / "report_bars.svg")
     assert os.path.exists(out / "cna_vs_accuracy.svg")
@@ -292,7 +321,7 @@ def test_shipped_configs_parse():
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     cfg = load_config(os.path.join(here, "configs", "quickstart.json"))
     assert cfg.epochs == 20
-    suite = json.load(open(os.path.join(here, "configs", "suite.json")))
+    suite = json.loads(pathlib.Path(here, "configs", "suite.json").read_bytes())
     assert len(build_suite_cells(suite)) == 17
 
 
@@ -307,7 +336,8 @@ def test_runrecord_preserves_unknown_fields(tmp_path):
     assert back.extra["train_loss"] == 0.2
     p2 = tmp_path / "r2.json"
     write_record(back, p2)
-    assert json.load(open(p))["custom"] == json.load(open(p2))["custom"]
+    assert json.loads(pathlib.Path(p).read_bytes())["custom"] == \
+        json.loads(pathlib.Path(p2).read_bytes())["custom"]
 
 
 def test_csv_round_trip(tmp_path):
@@ -327,7 +357,7 @@ def test_resume_skips_newest_checkpoint_with_corrupt_metadata(tmp_path):
     part_path, part = toy_config(tmp_path, "part", epochs=2)
     assert main(["train", "--config", str(part_path)]) == 0
     newest = os.path.join(part["output_dir"], "ckpt_epoch0002.cnac")
-    raw = open(newest, "rb").read()
+    raw = pathlib.Path(newest).read_bytes()
     assert raw.count(b'"blocks"') == 1
     with open(newest, "wb") as fh:
         fh.write(raw.replace(b'"blocks"', b'"blockz"'))   # same length, key lost
@@ -336,11 +366,11 @@ def test_resume_skips_newest_checkpoint_with_corrupt_metadata(tmp_path):
     assert main(["train", "--config", str(more_path)]) == 0
     for e in (1, 2, 3):
         name = f"record_epoch{e:04d}.json"
-        a = open(os.path.join(full["output_dir"], name), "rb").read()
-        b = open(os.path.join(part["output_dir"], name), "rb").read()
+        a = pathlib.Path(full["output_dir"], name).read_bytes()
+        b = pathlib.Path(part["output_dir"], name).read_bytes()
         assert a == b
-    assert open(newest, "rb").read() == \
-        open(os.path.join(full["output_dir"], "ckpt_epoch0002.cnac"), "rb").read()
+    assert pathlib.Path(newest).read_bytes() == \
+        pathlib.Path(full["output_dir"], "ckpt_epoch0002.cnac").read_bytes()
 
 
 def test_resume_loads_only_the_newest_checkpoint(tmp_path, capsys, monkeypatch):
@@ -362,7 +392,7 @@ def test_resume_skips_a_checkpoint_named_for_another_epoch(tmp_path, capsys):
     assert main(["train", "--config", str(cfg_path)]) == 0
     out = cfg["output_dir"]
     with open(os.path.join(out, "ckpt_epoch0009.cnac"), "wb") as fh:
-        fh.write(open(os.path.join(out, "ckpt_epoch0001.cnac"), "rb").read())
+        fh.write(pathlib.Path(out, "ckpt_epoch0001.cnac").read_bytes())
     more_path, _ = toy_config(tmp_path, "run", epochs=3, keep_checkpoints="all")
     capsys.readouterr()
     assert main(["train", "--config", str(more_path)]) == 0
@@ -519,7 +549,7 @@ def test_nonfinite_input_exits_3_before_training(tmp_path, monkeypatch, capsys):
 
 def run_files(out_dir):
     """{name: bytes} of a run's records, curves and checkpoints."""
-    return {name: open(os.path.join(out_dir, name), "rb").read()
+    return {name: pathlib.Path(out_dir, name).read_bytes()
             for name in sorted(os.listdir(out_dir))
             if name.startswith(("record_", "ckpt_")) or name == "curves.csv"}
 
@@ -588,7 +618,7 @@ def test_resume_after_crash_before_checkpoint_save(tmp_path, monkeypatch, latest
         main(["train", "--config", str(cfg_path)])
     monkeypatch.undo()
     curves = os.path.join(cfg["output_dir"], "curves.csv")
-    raw = open(curves, "rb").read()
+    raw = pathlib.Path(curves).read_bytes()
     assert raw.count(b"\n3,") == 5    # epoch 3's rows were appended
     with open(curves, "r+b") as fh:
         fh.truncate(len(raw) - tear)
@@ -602,7 +632,7 @@ def test_stale_temp_checkpoint_is_ignored(tmp_path, capsys, latest_run):
     ckpt = os.path.join(cfg["output_dir"], "ckpt_epoch0001.cnac")
     stale = os.path.join(cfg["output_dir"], "ckpt_epoch0002.cnac.tmp")
     with open(stale, "wb") as fh:
-        fh.write(open(ckpt, "rb").read()[:-100])     # a save cut short
+        fh.write(pathlib.Path(ckpt).read_bytes()[:-100])     # a save cut short
     more_path, _ = toy_config(tmp_path, "run", epochs=3, keep_checkpoints="latest")
     capsys.readouterr()
     assert main(["train", "--config", str(more_path)]) == 0

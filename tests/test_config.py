@@ -4,6 +4,7 @@ accepted config survives to_dict/from_dict, and the schema docs parse."""
 import copy
 import json
 import os
+import pathlib
 import re
 from dataclasses import fields
 
@@ -141,12 +142,13 @@ def test_round_trip_equals_parsed_config():
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
     cfg = load_config(os.path.join(REPO, "configs", "quickstart.json"))
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
-    for cell in build_suite_cells(json.load(open(os.path.join(REPO, "configs", "suite.json")))):
+    suite = json.loads(pathlib.Path(REPO, "configs", "suite.json").read_bytes())
+    for cell in build_suite_cells(suite):
         assert ExperimentConfig.from_dict(cell.to_dict()) == cell
 
 
 def doc_json_blocks():
-    text = open(os.path.join(REPO, "docs", "config.md"), encoding="utf-8").read()
+    text = pathlib.Path(REPO, "docs", "config.md").read_text(encoding="utf-8")
     return text, [json.loads(b) for b in re.findall(r"```json\n(.*?)```", text, re.S)]
 
 
