@@ -29,8 +29,6 @@ class TrajectorySample:
 class Trajectory:
     """Ordered samples sharing one probe batch."""
 
-    probe_shape: tuple
-    n_layers: int
     samples: list = field(default_factory=list)
 
     def states(self):

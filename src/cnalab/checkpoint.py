@@ -12,11 +12,12 @@ Layout (all integers little-endian, documented in README):
     ...         one raw little-endian float64 array per table entry,
                 row-major, concatenated in table order
 
-A round trip reproduces parameters bit-identically: arrays are written
-with tobytes() and read back with frombuffer(), no text formatting.
+A round trip reproduces parameters bit-identically: arrays are written raw
+and each is read back with readinto() into its own array, no text formatting.
 """
 
 import json
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -75,26 +76,27 @@ def save_checkpoint(net, opt_config, opt_state, epoch, path, seeds=None):
 def load_checkpoint(path):
     """Read a .cnac file; a malformed or inconsistent one raises FormatError."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 12 or raw[:4] != MAGIC:
-        raise FormatError(f"{path}: bad checkpoint magic")
-    version = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    meta_len = int(np.frombuffer(raw[8:12], dtype="<u4")[0])
-    if len(raw) < 12 + meta_len:
-        raise FormatError(f"{path}: truncated metadata")
-    try:
-        meta = json.loads(raw[12:12 + meta_len].decode("utf-8"))
-        return _from_meta(meta, raw, 12 + meta_len, version)
-    except (ValueError, KeyError, TypeError, AttributeError, ArithmeticError, CnaLabError) as exc:
-        raise FormatError(f"{path}: bad checkpoint ({type(exc).__name__}: {exc})") from exc
+        left = os.fstat(fh.fileno()).st_size - 12
+        head = fh.read(12)
+        if len(head) < 12 or head[:4] != MAGIC:
+            raise FormatError(f"{path}: bad checkpoint magic")
+        version, meta_len = (int(v) for v in np.frombuffer(head[4:], dtype="<u4"))
+        if version != VERSION:
+            raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        if meta_len > left:
+            raise FormatError(f"{path}: truncated metadata")
+        try:
+            meta = json.loads(fh.read(meta_len).decode("utf-8"))
+            return _from_meta(meta, fh, left - meta_len, version)
+        except (ValueError, KeyError, TypeError, AttributeError, ArithmeticError,
+                CnaLabError) as exc:
+            raise FormatError(f"{path}: bad checkpoint ({type(exc).__name__}: {exc})") from exc
 
 
-def _from_meta(meta, raw, offset, version):
-    """Checkpoint from parsed metadata and the raw file bytes. Any
-    inconsistency among metadata, blocks and layer specs raises; the
-    caller reports it as a FormatError."""
+def _from_meta(meta, fh, left, version):
+    """Checkpoint from parsed metadata and the file at its first block, left
+    bytes before its end; a block is read once its size fits in them. Any
+    inconsistency raises; the caller reports it as a FormatError."""
     if not all(type(meta[key]) is int and meta[key] >= 0 for key in ("epoch", "opt_t")):
         raise FormatError("epoch and optimizer step must be non-negative integers")
     params = {}
@@ -103,16 +105,17 @@ def _from_meta(meta, raw, offset, version):
     for block in meta["blocks"]:
         shape = tuple(block["shape"])
         count = int(np.prod(shape))
-        if not 0 <= count * 8 <= len(raw) - offset:
+        if not 0 <= count * 8 <= left:
             raise FormatError(f"truncated parameter block {block['name']}")
         prefix, idx, name = block["name"].split("/")
         if prefix not in tables:
             raise FormatError(f"unknown block prefix {prefix!r}")
-        tables[prefix].setdefault(int(idx), {})[name] = np.frombuffer(
-            raw, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
-        offset += count * 8
-    if offset != len(raw):
-        raise FormatError(f"{len(raw) - offset} trailing bytes after last block")
+        arr = tables[prefix].setdefault(int(idx), {})[name] = np.empty(shape, dtype="<f8")
+        if fh.readinto(arr) != count * 8:
+            raise FormatError(f"short read of parameter block {block['name']}")
+        left -= count * 8
+    if left:
+        raise FormatError(f"{left} trailing bytes after last block")
     if any(table and _layout(table) != _layout(params) for table in (state.m, state.v)):
         raise FormatError("optimizer moment blocks do not match the parameters")
 

@@ -1,7 +1,7 @@
 """Command-line entry points.
 
     cnalab train --config F
-    cnalab suite --config F [--jobs N]
+    cnalab suite --config F [--jobs N]       (N >= 1; at most one worker per cell to run)
     cnalab landscape --run DIR [--resolution R] [--out DIR]
     cnalab report --runs GLOB [--out DIR]
     cnalab metrics --checkpoint F --data SPEC
@@ -13,6 +13,7 @@ metrics --data keys "aggregation"/"include_output" override the checkpoint's.
 """
 
 import argparse
+import glob
 import json
 import sys
 from dataclasses import replace
@@ -34,7 +35,7 @@ def cmd_suite(args):
     from .harness import make_report, run_suite
     summary, output_root = run_suite(read_json(args.config), jobs=args.jobs)
     try:
-        make_report(f"{output_root}/**/record_epoch*.json", output_root)
+        make_report(f"{glob.escape(output_root)}/**/record_epoch*.json", output_root)
     except DataError as exc:
         print(f"[suite] report skipped: {exc}", file=sys.stderr)
     return 0

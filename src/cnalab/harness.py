@@ -52,6 +52,13 @@ def _write_json(path, obj, sort_keys=False):
         fh.write(json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n")
 
 
+def _checkpoints(out_dir):
+    """Matches of the checkpoint names listed (not globbed) in out_dir: group 1
+    is the epoch of ckpt_epochNNNN.cnac, None for a legacy ckpt_latest.cnac."""
+    return [m for m in map(re.compile(r"ckpt_(?:epoch(\d+)|latest)\.cnac").fullmatch,
+                           os.listdir(out_dir)) if m]
+
+
 def _latest_checkpoint(out_dir):
     """The newest checkpoint in out_dir that loads, or None: ckpt_epochNNNN
     files newest first by the epoch in their name, skipping any that fail to
@@ -62,8 +69,8 @@ def _latest_checkpoint(out_dir):
 
     legacy = os.path.join(out_dir, "ckpt_latest.cnac")
     best = load(legacy) if os.path.exists(legacy) else None
-    named = (re.fullmatch(r"ckpt_epoch(\d+)\.cnac", name) for name in os.listdir(out_dir))
-    for epoch, name in sorted(((int(m[1]), m[0]) for m in named if m), reverse=True):
+    named = ((int(m[1]), m[0]) for m in _checkpoints(out_dir) if m[1])
+    for epoch, name in sorted(named, reverse=True):
         if best is not None and best.epoch > epoch:
             break
         ck = load(os.path.join(out_dir, name))
@@ -110,8 +117,7 @@ def run_training(cfg, log=print):
         probe_idx = _select_probe(len(test_ds), cfg.probe_size, cfg.probe_seed)
         probe = test_ds.inputs[probe_idx]
         saved, kept = _load_trajectory(cfg.output_dir)[0], start_epoch * batches_per_epoch
-        trajectory = Trajectory(probe.shape, net.n_layers,   # later steps are taken again
-                                [s for s in saved.samples if s.step < kept] if saved else [])
+        trajectory = Trajectory([s for s in saved.samples if s.step < kept] if saved else [])
 
     curves = os.path.join(cfg.output_dir, "curves.csv")
     write_csv(curves, "curves", ("epoch", "bin", "mean_error"), _load_curves(curves, start_epoch))
@@ -150,8 +156,8 @@ def run_training(cfg, log=print):
             save_checkpoint(net, cfg.optimizer, opt_state, epoch, ckpt,
                             seeds={"init": cfg.init_seed, "shuffle": cfg.shuffle_seed})
             if cfg.keep_checkpoints == "latest":
-                for old in set(glob.glob(os.path.join(cfg.output_dir, "ckpt_*.cnac"))) - {ckpt}:
-                    os.unlink(old)
+                for old in {m[0] for m in _checkpoints(cfg.output_dir)} - {os.path.basename(ckpt)}:
+                    os.unlink(os.path.join(cfg.output_dir, old))
             snapshots.append(epoch)
             log(f"[train] {cfg.output_dir} epoch {epoch}: "
                 f"loss={train_loss:.4f} train_acc={train_acc:.4f} test_acc={test_acc:.4f}")
@@ -180,14 +186,13 @@ def _save_trajectory(out_dir, trajectory, probe_alphas):
 
 
 def _load_trajectory(out_dir):
-    """The Trajectory saved in out_dir and its probe entropies, or (None, None);
-    the probe size is the entropies' length, the layer count the state width over it."""
+    """The Trajectory saved in out_dir and its probe entropies, or (None, None)."""
     path = os.path.join(out_dir, "trajectory.npz")
     if not os.path.exists(path):
         return None, None
     with np.load(path) as z:
         states, probe_alphas = z["states"], z["probe_alphas"]
-        traj = Trajectory(probe_alphas.shape, states.shape[1] // probe_alphas.size)
+        traj = Trajectory()
         for step, state, loss in zip(z["steps"], states, z["losses"]):
             traj.append(TrajectorySample(step=int(step), state=state, loss=float(loss)))
         return traj, probe_alphas
@@ -246,8 +251,11 @@ def run_suite(suite, jobs=1, log=print):
     """Run every cell (skipping completed ones), then write a summary.
 
     Returns (summary dict, output_root). A cell is complete when its
-    final-epoch RunRecord exists.
+    final-epoch RunRecord exists. At most min(jobs, pending cells) workers
+    start; jobs below 1 is a ConfigError.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     cells = build_suite_cells(suite)
     output_root = suite["output_root"]
     os.makedirs(output_root, exist_ok=True)
@@ -260,7 +268,7 @@ def run_suite(suite, jobs=1, log=print):
             pending.append(cfg)
     if jobs > 1 and len(pending) > 1:
         from concurrent.futures import ProcessPoolExecutor   # a slow import; parallel only
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
             results.extend(pool.map(_run_cell, pending))
     else:
         results.extend(_run_cell(cfg) for cfg in pending)

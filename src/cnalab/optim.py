@@ -112,27 +112,27 @@ def train_epoch(net, train_ds, cfg, state, shuffle_seed, epoch, on_batch=None):
     order = seeded_rng(shuffle_seed, "shuffle", counter=epoch).permutation(n)
     loss_sum = 0.0
     correct = 0
-    step = 0
-    for batch_idx in iter_batches(n, cfg.batch_size, order):
-        xb = train_ds.inputs[batch_idx]
+    for step, batch_idx in enumerate(iter_batches(n, cfg.batch_size, order)):
         yb = train_ds.labels[batch_idx]
-        loss, grads, logits = loss_and_gradients(net, xb, yb)
+        loss, grads, logits = loss_and_gradients(net, train_ds.inputs[batch_idx], yb)
         apply_update(net, grads, cfg, state)
         loss_sum += loss * len(batch_idx)
         correct += int(np.sum(np.argmax(logits, axis=1) == yb))
         if on_batch is not None:
             on_batch(step, loss)
-        step += 1
+        del grads, logits   # one gradient set alive at a time (after on_batch: fewer page faults)
     return loss_sum / n, correct / n
 
 
 def trace_over_dataset(net, inputs):
     """The batched evaluation pass: recorded (N, L) pre-activation aggregates
-    and logits, in a fixed batch order so the result is batch-size independent."""
+    and logits, in a fixed batch order so the result is batch-size independent.
+    Each batch is a row-slice view of inputs, never a copy."""
     n = inputs.shape[0]
     if n == 0:
         raise DataError("cannot evaluate an empty dataset")
-    passes = [forward(net, inputs[b], record=True) for b in iter_batches(n, EVAL_BATCH)]
+    passes = [forward(net, inputs[start:start + EVAL_BATCH], record=True)
+              for start in range(0, n, EVAL_BATCH)]
     return np.vstack([trace.z for _, trace in passes]), np.vstack([lg for lg, _ in passes])
 
 

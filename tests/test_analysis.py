@@ -46,7 +46,7 @@ def test_record_state_repeatable():
 
 
 def test_trajectory_rejects_dimension_drift():
-    traj = Trajectory(probe_shape=(4,), n_layers=2)
+    traj = Trajectory()
     traj.append(TrajectorySample(0, np.zeros(8), 1.0))
     with pytest.raises(DataError):
         traj.append(TrajectorySample(1, np.zeros(6), 1.0))

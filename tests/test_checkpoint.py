@@ -192,3 +192,58 @@ def test_corrupt_metadata_raises_only_format_error(tmp_path_factory, edits):
     finally:
         path.unlink()
     assert type(ck.epoch) is int and type(ck.opt_state.t) is int
+
+
+def test_load_reads_each_block_into_its_array_without_a_file_buffer(tmp_path):
+    import tracemalloc
+    specs = [nn.dense(3072, 256), nn.relu(), nn.dense(256, 256), nn.relu(), nn.dense(256, 10)]
+    net = nn.build_network(specs, 0, (3072,))
+    cfg = OptConfig(kind="adam", lr=0.001)
+    path = tmp_path / "wide.cnac"
+    save_checkpoint(net, cfg, init_opt_state(net, cfg), 1, path)
+    tracemalloc.start()
+    try:
+        ck = load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * path.stat().st_size
+    for (_, _, a), (_, _, b) in zip(net.param_items(), ck.net.param_items()):
+        assert a.tobytes() == b.tobytes()
+
+
+def grow_metadata_length(path):
+    raw = bytearray(path.read_bytes())
+    raw[8:12] = np.uint32(len(raw)).tobytes()
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (grow_metadata_length, "truncated metadata"),
+    (lambda path: rewrite_metadata(path, lambda meta: meta["blocks"][0].update(shape=[-2, 9])),
+     "truncated parameter block param/0/W"),
+    (lambda path: rewrite_metadata(path, lambda meta: meta["blocks"][0].update(
+        shape=[2 ** 40])), "truncated parameter block param/0/W"),
+], ids=["metadata-length", "negative-count", "oversized-count"])
+def test_bad_lengths_are_format_errors(tmp_path, corrupt, message):
+    _, net, cfg = bias_free_conv_setup()
+    path = tmp_path / "ck.cnac"
+    save_checkpoint(net, cfg, init_opt_state(net, cfg), 0, path)
+    corrupt(path)
+    with pytest.raises(FormatError, match=message):
+        load_checkpoint(path)
+
+
+def test_a_file_cut_short_while_read_is_a_format_error(tmp_path, monkeypatch):
+    from types import SimpleNamespace
+
+    from cnalab import checkpoint
+    _, net, cfg = bias_free_conv_setup()
+    path = tmp_path / "ck.cnac"
+    save_checkpoint(net, cfg, init_opt_state(net, cfg), 0, path)
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-8])
+    # the file's size as seen before the last block lost its tail
+    monkeypatch.setattr(checkpoint.os, "fstat", lambda fd: SimpleNamespace(st_size=size))
+    with pytest.raises(FormatError, match="short read"):
+        load_checkpoint(path)

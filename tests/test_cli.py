@@ -706,3 +706,58 @@ def test_metrics_data_depth_keys_rebuild_the_checkpoint_net(tmp_path, capsys, ke
     train_ds, test_ds = resolve_datasets(cfg["dataset"])
     assert out == gap_metric_set(replace(net, **{key: value}), train_ds, test_ds).to_dict()
     assert out["cna"] != gap_metric_set(net, train_ds, test_ds).cna
+
+
+def test_latest_deletes_only_its_own_checkpoints_whatever_the_directory_name(tmp_path):
+    other_path, other = toy_config(tmp_path, "ra", keep_checkpoints="all")
+    assert main(["train", "--config", str(other_path)]) == 0
+    cfg_path, cfg = toy_config(tmp_path, "r[ab]", epochs=2, keep_checkpoints="latest")
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert os.path.exists(os.path.join(other["output_dir"], "ckpt_epoch0001.cnac"))
+    assert [f for f in os.listdir(cfg["output_dir"]) if f.startswith("ckpt_")] == \
+        ["ckpt_epoch0002.cnac"]
+
+
+def test_suite_reports_on_an_output_root_with_glob_characters(tmp_path):
+    path, suite = suite_config(tmp_path)
+    suite["output_root"] = str(tmp_path / "suite[1]")
+    path.write_text(json.dumps(suite))
+    assert main(["suite", "--config", str(path)]) == 0
+    report = json.loads(pathlib.Path(suite["output_root"], "report.json").read_bytes())
+    assert report["n_records"] == 4
+
+
+def test_suite_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    from cnalab.harness import _run_cell
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            assert fn is _run_cell
+            return map(fn, cells)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    path, suite = suite_config(tmp_path)
+    assert main(["suite", "--config", str(path), "--jobs", "64"]) == 0
+    assert started == [4]
+    summary = json.loads(pathlib.Path(suite["output_root"], "suite_summary.json").read_bytes())
+    assert [c["status"] for c in summary["cells"]] == ["ok"] * 4
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_suite_jobs_below_one_exits_2_before_writing(tmp_path, capsys, jobs):
+    path, suite = suite_config(tmp_path)
+    assert main(["suite", "--config", str(path), "--jobs", jobs]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not os.path.exists(suite["output_root"])

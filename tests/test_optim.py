@@ -327,3 +327,66 @@ def test_an_adam_step_on_a_wide_layer_allocates_under_1_mb():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def peak_bytes(fn):
+    """The tracemalloc peak of fn(), counting what it returns."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def wide_net(hidden):
+    specs = [nn.dense(3072, hidden), nn.relu(), nn.dense(hidden, hidden), nn.relu(),
+             nn.dense(hidden, 10)]
+    return nn.build_network(specs, 0, (3072,))
+
+
+def test_the_pass_reads_row_views_not_batch_copies():
+    # one 512-row copy of these rows is 12.6 MB
+    inputs = np.random.default_rng(5).normal(size=(1500, 3072))
+    net = wide_net(8)
+    assert peak_bytes(lambda: trace_over_dataset(net, inputs)) < 1 << 20
+
+
+def test_an_epoch_holds_one_steps_gradients_at_a_time():
+    rng = np.random.default_rng(6)
+    ds = LabeledDataset(rng.normal(size=(192, 3072)), rng.integers(0, 10, size=192), 10)
+    net = wide_net(256)
+    cfg = OptConfig(kind="adam", lr=0.001, batch_size=64)
+    state = init_opt_state(net, cfg)
+    gradient_set = sum(arr.nbytes for _, _, arr in net.param_items())
+    assert peak_bytes(lambda: train_epoch(net, ds, cfg, state, 1, 1)) < 1.5 * gradient_set
+
+
+def strided_copies(x):
+    """x in C order, Fortran order, and as views with strided columns and rows."""
+    wide = np.zeros(x.shape[:-1] + (2 * x.shape[-1],))
+    wide[..., ::2] = x
+    tall = np.zeros((2 * len(x),) + x.shape[1:])
+    tall[::2] = x
+    return {"c-order": x, "fortran": np.asfortranarray(x),
+            "column-strided": wide[..., ::2], "row-strided": tall[::2]}
+
+
+@pytest.mark.parametrize("arch", ["mlp", "cnn"])
+def test_the_pass_gives_the_same_bytes_for_any_input_layout(arch):
+    rng = np.random.default_rng(8)
+    if arch == "mlp":
+        x = rng.normal(size=(1100, 64))
+        net = nn.build_network([nn.dense(64, 32), nn.relu(), nn.dense(32, 16), nn.relu(),
+                                nn.dense(16, 3)], 2, (64,))
+    else:
+        x = rng.normal(size=(1100, 2, 8, 8))
+        net = nn.build_network([nn.conv2d(2, 4, 3), nn.relu(), nn.flatten(),
+                                nn.dense(144, 3)], 2, (2, 8, 8))
+    layouts = strided_copies(x)
+    assert not layouts["column-strided"].flags.c_contiguous
+    assert not layouts["row-strided"].flags.c_contiguous
+    passes = {name: [a.tobytes() for a in trace_over_dataset(net, inputs)]
+              for name, inputs in layouts.items()}
+    assert all(p == passes["c-order"] for p in passes.values())
