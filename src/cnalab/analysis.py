@@ -31,9 +31,6 @@ class Trajectory:
 
     samples: list = field(default_factory=list)
 
-    def states(self):
-        return np.stack([s.state for s in self.samples])
-
     def append(self, sample):
         if self.samples and sample.state.shape != self.samples[0].state.shape:
             raise DataError("trajectory state dimension drifted between samples")
@@ -148,16 +145,11 @@ def cna_landscape(basis, x_range, y_range, resolution, probe_alphas):
 
 @dataclass
 class ComplexityBins:
-    """Quantile bins over per-datapoint entropy. Bin 0 holds the lowest
-    entropies; ties are broken by datapoint index. Sizes differ by <= 1."""
+    """Quantile bins over per-datapoint entropy: bin_indices holds each
+    bin's member datapoint indices, bin 0 the lowest entropies. Ties are
+    broken by datapoint index; sizes differ by <= 1."""
 
-    assignment: np.ndarray     # (N,) bin index per datapoint
-    bin_indices: list          # per bin, the member datapoint indices
-    alpha_edges: np.ndarray    # (q+1,) entropy values at the quantile cuts
-
-    @property
-    def q(self):
-        return len(self.bin_indices)
+    bin_indices: list
 
 
 def complexity_bins(alphas, q):
@@ -168,22 +160,11 @@ def complexity_bins(alphas, q):
     if n < q:
         raise DataError(f"cannot fill {q} bins from {n} datapoints")
     order = np.argsort(alphas, kind="stable")
-    cuts = [b * n // q for b in range(q + 1)]
-    assignment = np.empty(n, dtype=np.int64)
-    bin_indices = []
-    for b in range(q):
-        members = order[cuts[b]:cuts[b + 1]]
-        assignment[members] = b
-        bin_indices.append(members)
-    sorted_alphas = alphas[order]
-    edges = np.array([sorted_alphas[min(c, n - 1)] for c in cuts])
-    edges[-1] = sorted_alphas[-1]
-    return ComplexityBins(assignment=assignment, bin_indices=bin_indices, alpha_edges=edges)
+    return ComplexityBins([order[b * n // q:(b + 1) * n // q] for b in range(q)])
 
 
 @dataclass
 class BinnedErrorCurves:
-    alpha_edges: np.ndarray
     curves: np.ndarray        # (q, n_epochs) mean error per bin per epoch
     bin_sizes: np.ndarray
 
@@ -194,11 +175,11 @@ def binned_error_curves(flags_per_epoch, bins):
     flags_per_epoch: (E, N) boolean error flags for one fixed test set.
     """
     flags = np.asarray(flags_per_epoch, dtype=np.float64)
-    if flags.ndim != 2 or flags.shape[1] != bins.assignment.size:
+    sizes = np.array([len(members) for members in bins.bin_indices])
+    if flags.ndim != 2 or flags.shape[1] != sizes.sum():
         raise DataError("flags must be (n_epochs, N) for the binned test set")
     curves = np.stack([flags[:, members].mean(axis=1) for members in bins.bin_indices])
-    sizes = np.array([len(members) for members in bins.bin_indices])
-    return BinnedErrorCurves(alpha_edges=bins.alpha_edges, curves=curves, bin_sizes=sizes)
+    return BinnedErrorCurves(curves=curves, bin_sizes=sizes)
 
 
 ALL_NETS = "All Nets"

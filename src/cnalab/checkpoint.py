@@ -33,7 +33,6 @@ VERSION = 1
 
 @dataclass
 class Checkpoint:
-    version: int
     net: Network
     opt_config: OptConfig
     opt_state: OptState
@@ -87,13 +86,13 @@ def load_checkpoint(path):
             raise FormatError(f"{path}: truncated metadata")
         try:
             meta = json.loads(fh.read(meta_len).decode("utf-8"))
-            return _from_meta(meta, fh, left - meta_len, version)
+            return _from_meta(meta, fh, left - meta_len)
         except (ValueError, KeyError, TypeError, AttributeError, ArithmeticError,
                 CnaLabError) as exc:
             raise FormatError(f"{path}: bad checkpoint ({type(exc).__name__}: {exc})") from exc
 
 
-def _from_meta(meta, fh, left, version):
+def _from_meta(meta, fh, left):
     """Checkpoint from parsed metadata and the file at its first block, left
     bytes before its end; a block is read once its size fits in them. Any
     inconsistency raises; the caller reports it as a FormatError."""
@@ -122,5 +121,5 @@ def _from_meta(meta, fh, left, version):
     net = Network(specs=[LayerSpec(**d) for d in meta["specs"]], params=params,
                   input_shape=meta["input_shape"], aggregation=meta["aggregation"],
                   include_output=meta["include_output"], init_seed=meta["init_seed"])
-    return Checkpoint(version=version, net=net, opt_config=OptConfig(**meta["opt"]),
+    return Checkpoint(net=net, opt_config=OptConfig(**meta["opt"]),
                       opt_state=state, epoch=meta["epoch"], seeds=meta.get("seeds", {}))

@@ -16,13 +16,13 @@ import glob
 import json
 import os
 import re
-from dataclasses import fields
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 
-from .analysis import (ALL_NETS, Trajectory, TrajectorySample, binned_error_curves,
-                       cna_landscape, complexity_bins, gap_correlation_report, pca2,
-                       record_state)
+from .analysis import (ALL_NETS, ReportCell, Trajectory, TrajectorySample,
+                       binned_error_curves, cna_landscape, complexity_bins,
+                       gap_correlation_report, pca2, record_state)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (ExperimentConfig, arch_id, as_type, build_arch, corruption_of,
                      resolve_datasets)
@@ -86,9 +86,9 @@ def _select_probe(n, probe_size, probe_seed):
 
 
 def run_training(cfg, log=print):
-    """Run (or resume) one experiment cell; returns the list of snapshot
-    epochs written. Identical (config, seeds) produce byte-identical
-    RunRecord files whether or not the run was interrupted."""
+    """Run (or resume) one experiment cell, writing its run directory.
+    Identical (config, seeds) produce byte-identical RunRecord files
+    whether or not the run was interrupted."""
     os.makedirs(cfg.output_dir, exist_ok=True)
     _write_json(os.path.join(cfg.output_dir, "config.json"), cfg.to_dict(), sort_keys=True)
 
@@ -112,25 +112,21 @@ def run_training(cfg, log=print):
     bins = complexity_bins(test_alphas, CURVE_BINS)
 
     batches_per_epoch = -(-len(train_ds) // cfg.optimizer.batch_size)
-    trajectory = None
+    trajectory = on_batch = None
     if cfg.record_trajectory:
         probe_idx = _select_probe(len(test_ds), cfg.probe_size, cfg.probe_seed)
         probe = test_ds.inputs[probe_idx]
         saved, kept = _load_trajectory(cfg.output_dir)[0], start_epoch * batches_per_epoch
         trajectory = Trajectory([s for s in saved.samples if s.step < kept] if saved else [])
 
+        def on_batch(step, loss):   # step counts within the loop's current epoch
+            step += (epoch - 1) * batches_per_epoch
+            trajectory.append(record_state(net, probe, step, loss))
+
     curves = os.path.join(cfg.output_dir, "curves.csv")
     write_csv(curves, "curves", ("epoch", "bin", "mean_error"), _load_curves(curves, start_epoch))
-    snapshots = []
 
     for epoch in range(start_epoch + 1, cfg.epochs + 1):
-        on_batch = None
-        if trajectory is not None:
-            base_step = (epoch - 1) * batches_per_epoch
-
-            def on_batch(step, loss, _base=base_step):
-                trajectory.append(record_state(net, probe, _base + step, loss))
-
         train_loss, _ = train_epoch(net, train_ds, cfg.optimizer, opt_state,
                                     cfg.shuffle_seed, epoch, on_batch=on_batch)
 
@@ -158,13 +154,11 @@ def run_training(cfg, log=print):
             if cfg.keep_checkpoints == "latest":
                 for old in {m[0] for m in _checkpoints(cfg.output_dir)} - {os.path.basename(ckpt)}:
                     os.unlink(os.path.join(cfg.output_dir, old))
-            snapshots.append(epoch)
             log(f"[train] {cfg.output_dir} epoch {epoch}: "
                 f"loss={train_loss:.4f} train_acc={train_acc:.4f} test_acc={test_acc:.4f}")
 
     if trajectory is not None and trajectory.samples:
         _save_trajectory(cfg.output_dir, trajectory, test_alphas[probe_idx])
-    return snapshots
 
 
 def _load_curves(path, up_to_epoch):
@@ -179,7 +173,7 @@ def _load_curves(path, up_to_epoch):
 
 def _save_trajectory(out_dir, trajectory, probe_alphas):
     with replacing(os.path.join(out_dir, "trajectory.npz"), "wb") as fh:
-        np.savez(fh, states=trajectory.states(),
+        np.savez(fh, states=np.stack([s.state for s in trajectory.samples]),
                  steps=np.array([s.step for s in trajectory.samples]),
                  losses=np.array([s.loss for s in trajectory.samples]),
                  probe_alphas=probe_alphas)
@@ -191,11 +185,9 @@ def _load_trajectory(out_dir):
     if not os.path.exists(path):
         return None, None
     with np.load(path) as z:
-        states, probe_alphas = z["states"], z["probe_alphas"]
-        traj = Trajectory()
-        for step, state, loss in zip(z["steps"], states, z["losses"]):
-            traj.append(TrajectorySample(step=int(step), state=state, loss=float(loss)))
-        return traj, probe_alphas
+        samples = [TrajectorySample(step=int(step), state=state, loss=float(loss))
+                   for step, state, loss in zip(z["steps"], z["states"], z["losses"])]
+        return Trajectory(samples), z["probe_alphas"]
 
 
 # ---------------------------------------------------------------------------
@@ -294,28 +286,21 @@ def make_landscape(run_dir, resolution=41, out_dir=None, log=print):
         raise DataError(f"{run_dir}: no trajectory.npz; train with \"record_trajectory\": true")
 
     basis, path = pca2(trajectory.samples)
-    xs, ys = path[:, 0], path[:, 1]
-    # axis ranges: path bounding box expanded 25% per side
-    def expand(lo, hi):
-        span = (hi - lo) or 1.0
-        return lo - 0.25 * span, hi + 0.25 * span
-    x_range = expand(float(xs.min()), float(xs.max()))
-    y_range = expand(float(ys.min()), float(ys.max()))
-    grid = cna_landscape(basis, x_range, y_range, resolution, probe_alphas)
+    lo, hi = path.min(axis=0), path.max(axis=0)
+    pad = 0.25 * np.where(hi > lo, hi - lo, 1.0)   # path bounding box expanded 25% per side
+    grid = cna_landscape(basis, *zip(lo - pad, hi + pad), resolution, probe_alphas)
 
-    steps = [s.step for s in trajectory.samples]
-    losses = [s.loss for s in trajectory.samples]
+    os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, "trajectory.csv"), "trajectory",
               ("step", "loss", "projected_x", "projected_y"),
-              [(step, loss, float(x), float(y))
-               for step, loss, x, y in zip(steps, losses, xs, ys)])
+              [(s.step, s.loss, float(x), float(y))
+               for s, (x, y) in zip(trajectory.samples, path)])
     write_csv(os.path.join(out_dir, "landscape.csv"), "landscape",
               ("x", "y", "cna"),
               [(x, y, None if not np.isfinite(v) else v) for x, y, v in grid.cells()])
     landscape_svg(grid, path).save(os.path.join(out_dir, "landscape.svg"))
     log(f"[landscape] wrote {out_dir}/landscape.csv "
         f"({len(grid.xs)}x{len(grid.ys)} cells) and landscape.svg")
-    return basis, path, grid
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +316,12 @@ def make_report(runs_glob, out_dir, group_by="arch", log=print):
     os.makedirs(out_dir, exist_ok=True)
     cells = gap_correlation_report(records, group_by=group_by)
     write_csv(os.path.join(out_dir, "report.csv"), "report",
-              ("metric", "group", "rho", "n"),
-              [(c.metric, c.group, c.rho, c.n) for c in cells])
+              [f.name for f in fields(ReportCell)], map(astuple, cells))
 
     finding = _finding(cells)
     _write_json(os.path.join(out_dir, "report.json"),
-                {"cells": [{"metric": c.metric, "group": c.group, "rho": c.rho, "n": c.n}
-                           for c in cells], "n_records": len(records), "finding": finding})
+                {"cells": list(map(asdict, cells)), "n_records": len(records),
+                 "finding": finding})
 
     grouped_bars_svg(cells).save(os.path.join(out_dir, "report_bars.svg"))
     pairs = [(r.metrics.get("cna"), r.test_acc) for r in records

@@ -202,7 +202,6 @@ class ActivationTrace:
     """Per-datapoint aggregated pre-activations, one column per depth."""
 
     z: np.ndarray          # (N, L)
-    aggregation: str
 
     def __post_init__(self):
         check_finite(self.z, "activation trace")
@@ -282,7 +281,7 @@ def forward(net, batch, record=False):
     if not record:
         return a, None
     z = np.column_stack(z_cols) if z_cols else np.zeros((a.shape[0], 0))
-    return a, ActivationTrace(z=z, aggregation=net.aggregation)
+    return a, ActivationTrace(z=z)
 
 
 def layer_preactivations(net, batch):

@@ -15,7 +15,10 @@ from .csvio import replacing
 from .errors import FormatError
 from .metrics import METRIC_NAMES
 
-_CORE_FIELDS = ("dataset", "arch", "corruption", "epoch", "train_acc", "test_acc", "gap")
+# core field -> the JSON types it accepts, matched exactly (so no bool); the last is kept
+_CORE_FIELDS = {"dataset": (str,), "arch": (str,), "corruption": (int, float), "epoch": (int,),
+                "train_acc": (int, float), "test_acc": (int, float), "gap": (int, float)}
+_METRIC_TYPES = {int, float, type(None)}    # a metric is a JSON number or null
 
 
 @dataclass
@@ -37,19 +40,23 @@ class RunRecord:
         return json.dumps(obj, indent=2) + "\n"
 
     @staticmethod
-    def from_json(text):
+    def from_json(text, source="RunRecord"):
+        """The record in text (str, or UTF-8 bytes); FormatError names source."""
         try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"bad RunRecord JSON: {exc}") from exc
-        missing = [k for k in _CORE_FIELDS if k not in obj]
-        if missing:
-            raise FormatError(f"RunRecord missing fields {missing}")
+            obj = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+        except ValueError as exc:   # bad JSON, or bytes that are not UTF-8
+            raise FormatError(f"{source}: bad JSON: {exc}") from exc
+        if type(obj) is not dict:
+            raise FormatError(f"{source}: not a JSON object")
+        metrics = obj.get("metrics", {})
+        bad = [k for k, types in _CORE_FIELDS.items() if type(obj.get(k)) not in types]
+        if type(metrics) is not dict or {type(v) for v in metrics.values()} - _METRIC_TYPES:
+            bad.append("metrics")
+        if bad:
+            raise FormatError(f"{source}: fields missing or of the wrong type: {bad}")
         extra = {k: v for k, v in obj.items() if k not in _CORE_FIELDS and k != "metrics"}
-        return RunRecord(dataset=obj["dataset"], arch=obj["arch"],
-                         corruption=float(obj["corruption"]), epoch=int(obj["epoch"]),
-                         train_acc=float(obj["train_acc"]), test_acc=float(obj["test_acc"]),
-                         gap=float(obj["gap"]), metrics=obj.get("metrics", {}), extra=extra)
+        return RunRecord(**{k: types[-1](obj[k]) for k, types in _CORE_FIELDS.items()},
+                         metrics=metrics, extra=extra)
 
 
 def write_record(record, path):
@@ -58,5 +65,5 @@ def write_record(record, path):
 
 
 def read_record(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return RunRecord.from_json(fh.read())
+    with open(path, "rb") as fh:
+        return RunRecord.from_json(fh.read(), source=path)

@@ -172,6 +172,14 @@ def test_binned_curves_perfect_and_partition_identity():
     assert np.all(zero.curves == 0.0)
 
 
+def test_binned_curves_reject_flags_of_another_width():
+    bins = complexity_bins(np.arange(20.0), 4)
+    for shape in ((3, 19), (3, 21), (20,), (1, 3, 20)):
+        with pytest.raises(DataError, match="flags must be"):
+            binned_error_curves(np.zeros(shape, dtype=bool), bins)
+    assert binned_error_curves(np.ones((3, 20), dtype=bool), bins).curves.shape == (4, 3)
+
+
 def make_record(arch, gap, metrics, epoch=1):
     return RunRecord(dataset="toy", arch=arch, corruption=0.0, epoch=epoch,
                      train_acc=0.9, test_acc=0.9 - gap, gap=gap, metrics=metrics)

@@ -761,3 +761,37 @@ def test_suite_jobs_below_one_exits_2_before_writing(tmp_path, capsys, jobs):
     assert main(["suite", "--config", str(path), "--jobs", jobs]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not os.path.exists(suite["output_root"])
+
+
+def test_landscape_creates_its_out_directory(tmp_path):
+    cfg_path, cfg = toy_config(tmp_path, "traj", epochs=2, record_trajectory=True,
+                               probe_size=32)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    out = tmp_path / "new" / "dir"
+    assert main(["landscape", "--run", cfg["output_dir"], "--resolution", "5",
+                 "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["landscape.csv", "landscape.svg", "trajectory.csv"]
+
+
+_GOOD_RECORD = json.loads(RunRecord(dataset="toy", arch="mlp", corruption=0.0, epoch=9,
+                                    train_acc=0.9, test_acc=0.8, gap=0.1,
+                                    metrics={"cna": 0.5}).to_json())
+MALFORMED_RECORDS = {
+    "top-level-number": b"3",
+    "null-gap": json.dumps(_GOOD_RECORD | {"gap": None}).encode(),
+    "metrics-list": json.dumps(_GOOD_RECORD | {"metrics": [1, 2]}).encode(),
+    "string-metric": json.dumps(_GOOD_RECORD | {"metrics": {"cna": "0.5"}}).encode(),
+    "not-utf-8": json.dumps(_GOOD_RECORD).encode().replace(b'"toy"', b'"t\xffy"'),
+    "numeric-arch": json.dumps(_GOOD_RECORD | {"arch": 7}).encode(),
+    "boolean-gap": json.dumps(_GOOD_RECORD | {"gap": True}).encode(),
+}
+
+
+@pytest.mark.parametrize("content", MALFORMED_RECORDS.values(), ids=MALFORMED_RECORDS.keys())
+def test_a_malformed_record_is_a_format_error_not_a_traceback(tmp_path, capsys, content):
+    write_fixture_records(tmp_path, [0.05, 0.25, 0.10], [0.1, 0.6, 0.2])
+    (tmp_path / "record_epoch0009.json").write_bytes(content)
+    assert main(["report", "--runs", str(tmp_path / "record_*.json"),
+                 "--out", str(tmp_path / "rep")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "record_epoch0009.json" in err
