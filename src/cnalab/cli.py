@@ -13,6 +13,7 @@ metrics --data keys "aggregation"/"include_output" override the checkpoint's.
 """
 
 import argparse
+import ctypes
 import glob
 import json
 import sys
@@ -23,6 +24,21 @@ from .config import MetricOptions, load_config, read_json, resolve_datasets
 from .errors import (ConfigError, ConvergenceError, DataError, FormatError,
                      NumericError, ShapeError, UndefinedCorrelationError)
 from .metrics import gap_metric_set
+
+
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3      # glibc's mallopt parameters
+
+
+def malloc_policy():
+    """Fix glibc's mmap and trim thresholds at their 64-bit dynamic ceilings, so freed
+    temporaries are reused, not faulted in again; a no-op where libc lacks mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(M_TRIM_THRESHOLD, 64 << 20)
 
 
 def cmd_train(args):
@@ -104,6 +120,7 @@ def build_parser():
 
 
 def main(argv=None):
+    malloc_policy()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

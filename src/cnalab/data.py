@@ -220,48 +220,69 @@ def _shape_strokes():
     return g
 
 
-_GRID = np.stack(np.meshgrid((np.arange(_SIZE) + 0.5) / _SIZE,
-                             (np.arange(_SIZE) + 0.5) / _SIZE,
-                             indexing="xy"), axis=-1).reshape(-1, 2)
+_CENTRES = (np.arange(_SIZE) + 0.5) / _SIZE      # pixel c has its centre at (c + 0.5) / _SIZE
+_GRID = np.stack(np.meshgrid(_CENTRES, _CENTRES, indexing="xy"), axis=-1).reshape(-1, 2)
+
+
+def _pixel_spans(lo, hi):
+    """(owner i, pixel) for each pixel whose centre lies in [lo[i], hi[i]], the
+    bounds rounded outward by 1e-6 px; owners ascending."""
+    first = np.clip(np.ceil(lo * _SIZE - 0.5 - 1e-6), 0, _SIZE).astype(np.intp)
+    last = np.clip(np.floor(hi * _SIZE - 0.5 + 1e-6), -1, _SIZE - 1).astype(np.intp)
+    count = np.maximum(last - first + 1, 0)
+    owner = np.repeat(np.arange(len(count)), count)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(count) - count - first, count)
+
+
+def _solve(a, lo, hi):
+    """The interval of u with lo <= a * u <= hi; where a is 0, every u or none."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u, w = lo / a, hi / a
+    whole = np.where((lo <= 0) & (hi >= 0), np.inf, -np.inf)
+    return np.where(a != 0, np.minimum(u, w), -whole), np.where(a != 0, np.maximum(u, w), whole)
 
 
 def _strokes_ink(strokes, m, aa=0.02):
     """Soft ink of m images: per pixel, the max over the image's segments of
     clip((thickness - distance to segment) / aa, 0, 1).
 
-    strokes lists (image, warped segments, thickness). The expression is
-    only evaluated on (segment, pixel) pairs whose pixel centre lies in the
-    segment's bounding box widened by thickness + 1/28; outside it the
-    distance exceeds the thickness and the ink is exactly 0. The operations
-    on each pair are the dense per-pixel ones in the same order, so the
-    result is bit-identical to evaluating every pixel.
+    strokes lists (image, warped segments, thickness). Only pixels whose centre
+    can lie in a segment's capsule of radius R = thickness + 1e-7 are evaluated
+    (elsewhere the ink is exactly 0): per row, the hull of the row's sections of
+    the endpoint discs and of the band |d x (x - p)| <= R|d| cut by the slab
+    0 <= (x - p).d <= |d|^2. Kept pairs take the dense per-pixel operations in
+    the same order, so the result is bit-identical to evaluating every pixel.
     """
     image, segs, thickness = zip(*strokes)
     counts = [len(s) for s in segs]
-    image = np.repeat(image, counts)
-    thickness = np.repeat(thickness, counts)
+    image, thickness = np.repeat(image, counts), np.repeat(thickness, counts)
     segs = np.concatenate(segs)
     p, q = segs[:, 0], segs[:, 1]
     d = q - p
     len2 = np.maximum(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1], 1e-12)
-    # pixel c has its centre at (c + 0.5) / _SIZE; boxes err one pixel wide
-    reach = (thickness + 1.0 / _SIZE)[:, None]
-    first = np.clip(np.floor((np.minimum(p, q) - reach) * _SIZE - 0.5), 0, _SIZE).astype(np.intp)
-    last = np.clip(np.ceil((np.maximum(p, q) + reach) * _SIZE - 0.5), -1, _SIZE - 1).astype(np.intp)
-    extent = np.maximum(last - first + 1, 0)          # (columns, rows) per segment
-    area = extent[:, 0] * extent[:, 1]
-    seg = np.repeat(np.arange(len(segs)), area)
-    offset = np.arange(len(seg)) - np.repeat(np.cumsum(area) - area, area)
-    width = extent[seg, 0]
-    pixel = (first[seg, 1] + offset // width) * _SIZE + first[seg, 0] + offset % width
-    gx, gy = _GRID[pixel, 0], _GRID[pixel, 1]
+    radius = thickness + 1e-7
+    seg, row = _pixel_spans(np.minimum(p[:, 1], q[:, 1]) - radius,
+                            np.maximum(p[:, 1], q[:, 1]) + radius)
+    r, y, (px, py), (qx, qy), (dx, dy) = radius[seg], _CENTRES[row], p[seg].T, q[seg].T, d[seg].T
+    with np.errstate(invalid="ignore"):                 # NaN where the row misses a disc
+        hp, hq = np.sqrt(r * r - (y - py) ** 2), np.sqrt(r * r - (y - qy) ** 2)
+    v, dd = y - py, dx * dx + dy * dy                   # band and slab in u = x - px
+    band_lo, band_hi = _solve(dy, dx * v - r * np.sqrt(dd), dx * v + r * np.sqrt(dd))
+    slab_lo, slab_hi = _solve(dx, -dy * v, dd - dy * v)
+    u_lo, u_hi = np.maximum(band_lo, slab_lo), np.minimum(band_hi, slab_hi)
+    cut = (u_lo <= u_hi) & (dd > 0)
+    k, col = _pixel_spans(
+        np.fmin(np.fmin(px - hp, qx - hq), np.where(cut, px + u_lo, np.inf)),
+        np.fmax(np.fmax(px + hp, qx + hq), np.where(cut, px + u_hi, -np.inf)))
+    seg, row = seg[k], row[k]
+    gx, gy = _CENTRES[col], _CENTRES[row]
     px, py, dx, dy = p[seg, 0], p[seg, 1], d[seg, 0], d[seg, 1]
     t = np.clip(((gx - px) * dx + (gy - py) * dy) / len2[seg], 0.0, 1.0)
     ex = gx - (px + t * dx)
     ey = gy - (py + t * dy)
     value = np.clip((thickness[seg] - np.sqrt(ex * ex + ey * ey)) / aa, 0.0, 1.0)
     ink = np.zeros((m, _SIZE * _SIZE))
-    np.maximum.at(ink.reshape(-1), image[seg] * (_SIZE * _SIZE) + pixel, value)
+    np.maximum.at(ink.reshape(-1), (image[seg] * _SIZE + row) * _SIZE + col, value)
     return ink
 
 
@@ -277,6 +298,9 @@ _CHUNK = 16
 
 
 def _render_corpus(n, seed, stream, glyphs, default_thickness, source):
+    """n glyph images. Each scalar uniform(lo, hi) draw is written as numpy
+    computes it, lo + (hi - lo) * random(): the same values without
+    Generator.uniform's per-call overhead."""
     rng = seeded_rng(seed, "data", counter=stream)
     labels = seeded_rng(seed, "labels", counter=stream).integers(0, 10, size=n)
     images = np.empty((n, 1, _SIZE, _SIZE))
@@ -286,17 +310,15 @@ def _render_corpus(n, seed, stream, glyphs, default_thickness, source):
         stop = min(start + _CHUNK, n)
         strokes = []
         for i in range(start, stop):
-            hardness = rng.uniform()          # drives both warp strength and noise
-            rot = rng.uniform(-1, 1) * 0.45 * hardness
-            scale = 1.0 + rng.uniform(-1, 1) * 0.18 * hardness
-            shear = rng.uniform(-1, 1) * 0.35 * hardness
+            hardness = rng.random()           # drives both warp strength and noise
+            rot = (-1 + 2 * rng.random()) * 0.45 * hardness
+            scale = 1.0 + (-1 + 2 * rng.random()) * 0.18 * hardness
+            shear = (-1 + 2 * rng.random()) * 0.35 * hardness
             shift = rng.uniform(-0.07, 0.07, size=2)
             sigma[i] = 0.02 + 0.28 * hardness
             for entry in glyphs[labels[i]]:
-                if isinstance(entry, tuple):
-                    segs, thickness = entry
-                else:
-                    segs, thickness = entry, default_thickness * rng.uniform(0.8, 1.25)
+                segs, thickness = entry if isinstance(entry, tuple) else (
+                    entry, default_thickness * (0.8 + (1.25 - 0.8) * rng.random()))
                 strokes.append((i - start, _warp(segs, rot, scale, shear, shift), thickness))
             rng.standard_normal(out=pixels[i])      # the noise, drawn in place
         chunk = pixels[start:stop]

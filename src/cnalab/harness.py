@@ -16,6 +16,7 @@ import glob
 import json
 import os
 import re
+import zipfile
 from dataclasses import asdict, astuple, fields
 
 import numpy as np
@@ -27,7 +28,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (ExperimentConfig, arch_id, as_type, build_arch, corruption_of,
                      resolve_datasets)
 from .csvio import append_csv, read_csv, replacing, write_csv
-from .errors import CnaLabError, ConfigError, DataError
+from .errors import CnaLabError, ConfigError, DataError, FormatError
 from .metrics import entropy_vector, gap_metric_set
 from .nn import build_network
 from .optim import init_opt_state, score, trace_over_dataset, train_epoch
@@ -184,10 +185,13 @@ def _load_trajectory(out_dir):
     path = os.path.join(out_dir, "trajectory.npz")
     if not os.path.exists(path):
         return None, None
-    with np.load(path) as z:
-        samples = [TrajectorySample(step=int(step), state=state, loss=float(loss))
-                   for step, state, loss in zip(z["steps"], z["states"], z["losses"])]
-        return Trajectory(samples), z["probe_alphas"]
+    try:
+        with np.load(path) as z:
+            samples = [TrajectorySample(step=int(step), state=state, loss=float(loss))
+                       for step, state, loss in zip(z["steps"], z["states"], z["losses"])]
+            return Trajectory(samples), z["probe_alphas"]
+    except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise FormatError(f"{path}: not a trajectory archive ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +264,9 @@ def run_suite(suite, jobs=1, log=print):
             pending.append(cfg)
     if jobs > 1 and len(pending) > 1:
         from concurrent.futures import ProcessPoolExecutor   # a slow import; parallel only
-        with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
+        from .cli import malloc_policy
+        with ProcessPoolExecutor(max_workers=min(jobs, len(pending)),
+                                 initializer=malloc_policy) as pool:
             results.extend(pool.map(_run_cell, pending))
     else:
         results.extend(_run_cell(cfg) for cfg in pending)

@@ -730,12 +730,14 @@ def test_suite_reports_on_an_output_root_with_glob_characters(tmp_path):
 def test_suite_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
     import concurrent.futures
 
+    from cnalab.cli import malloc_policy
     from cnalab.harness import _run_cell
-    started = []
+    started, initializers = [], []
 
     class InProcessPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
             started.append(max_workers)
+            initializers.append(initializer)
 
         def __enter__(self):
             return self
@@ -751,6 +753,7 @@ def test_suite_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
     path, suite = suite_config(tmp_path)
     assert main(["suite", "--config", str(path), "--jobs", "64"]) == 0
     assert started == [4]
+    assert initializers == [malloc_policy]     # so spawn and forkserver workers get it too
     summary = json.loads(pathlib.Path(suite["output_root"], "suite_summary.json").read_bytes())
     assert [c["status"] for c in summary["cells"]] == ["ok"] * 4
 
@@ -795,3 +798,78 @@ def test_a_malformed_record_is_a_format_error_not_a_traceback(tmp_path, capsys, 
                  "--out", str(tmp_path / "rep")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "record_epoch0009.json" in err
+
+
+@pytest.mark.parametrize("corruption", ["junk", "no-losses"])
+def test_a_corrupt_trajectory_is_a_format_error_not_a_traceback(tmp_path, capsys, corruption):
+    cfg_path, cfg = toy_config(tmp_path, "traj", epochs=2, record_trajectory=True,
+                               probe_size=16)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    path = os.path.join(cfg["output_dir"], "trajectory.npz")
+    if corruption == "junk":
+        pathlib.Path(path).write_bytes(b"not an archive" * 10)
+    else:
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files if k != "losses"}
+        np.savez(path, **arrays)
+    capsys.readouterr()
+    assert main(["landscape", "--run", cfg["output_dir"], "--resolution", "5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and path in err
+    # a resumed run with a trajectory reads the same file
+    os.unlink(os.path.join(cfg["output_dir"], "ckpt_epoch0002.cnac"))
+    assert main(["train", "--config", str(cfg_path)]) == 3
+    assert path in capsys.readouterr().err
+
+
+def test_main_sets_the_malloc_policy_before_dispatching(monkeypatch):
+    import ctypes
+    import types
+
+    from cnalab import cli
+    calls = []
+
+    def mallopt(param, value):
+        calls.append(("mallopt", param, value))
+        return 1
+
+    def cdll(name):
+        calls.append(("CDLL", name))
+        return types.SimpleNamespace(mallopt=mallopt)
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    monkeypatch.setattr(cli, "cmd_report", lambda args: calls.append(("dispatch",)) or 0)
+    assert main(["report", "--runs", "nothing"]) == 0
+    assert (cli.M_MMAP_THRESHOLD, cli.M_TRIM_THRESHOLD) == (-3, -1)      # glibc's malloc.h
+    assert calls == [("CDLL", None), ("mallopt", -3, 32 << 20), ("mallopt", -1, 64 << 20),
+                     ("dispatch",)]
+
+
+@pytest.mark.parametrize("libc", ["unloadable", "no-mallopt"])
+def test_train_runs_where_libc_has_no_mallopt(tmp_path, monkeypatch, libc):
+    import ctypes
+
+    def cdll(name):
+        if libc == "unloadable":
+            raise OSError("no shared C library")
+        return object()
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    cfg_path, cfg = toy_config(tmp_path)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert os.path.exists(os.path.join(cfg["output_dir"], "record_epoch0001.json"))
+
+
+def test_rendering_under_the_malloc_policy_takes_few_page_faults():
+    pytest.importorskip("resource")
+    code = ("import resource\n"
+            "from cnalab.cli import malloc_policy\n"
+            "from cnalab.data import synthetic_digits\n"
+            "malloc_policy()\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "synthetic_digits(400, 5)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cnalab.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert int(out) < 4000

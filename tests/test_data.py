@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnalab import data
 from cnalab.config import resolve_datasets
@@ -291,6 +293,36 @@ def test_culled_ink_equals_dense_ink_bitwise():
         strokes.append((image, segs, thickness))
         expected[image] = np.maximum(expected[image], dense_ink(segs, thickness))
     assert data._strokes_ink(strokes, 6).tobytes() == expected.tobytes()
+
+
+# free coordinates, or pixel centres (c + 0.5) / 28, on and past the canvas
+COORD = st.one_of(st.floats(-0.3, 1.3), st.integers(-8, 35).map(lambda c: (c + 0.5) / 28))
+
+
+@st.composite
+def segment(draw):
+    kind = draw(st.sampled_from(["any", "point", "horizontal", "vertical"]))
+    x0, y0, x1, y1 = (draw(COORD) for _ in range(4))
+    if kind in ("point", "vertical"):
+        x1 = x0
+    if kind in ("point", "horizontal"):
+        y1 = y0
+    return [[x0, y0], [x1, y1]]
+
+
+STROKE = st.tuples(st.integers(0, 2), st.lists(segment(), min_size=1, max_size=4),
+                   st.one_of(st.floats(0.03, 0.3), st.integers(1, 8).map(lambda k: k / 28)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(STROKE, min_size=1, max_size=5))
+def test_culled_ink_equals_dense_ink_on_fuzzed_strokes(drawn):
+    strokes, expected = [], np.zeros((3, 28 * 28))
+    for image, segs, thickness in drawn:
+        segs = np.array(segs, dtype=np.float64)
+        strokes.append((image, segs, thickness))
+        expected[image] = np.maximum(expected[image], dense_ink(segs, thickness))
+    assert data._strokes_ink(strokes, 3).tobytes() == expected.tobytes()
 
 
 @pytest.fixture
