@@ -45,15 +45,17 @@ def append_csv(path, rows):
 
 def read_csv(path):
     """Returns (schema_name, columns, rows-of-strings)."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first.startswith("# schema="):
-            raise FormatError(f"{path}: missing schema header line")
-        name = first[len("# schema="):].strip().split(" ")[0]
-        reader = csv.reader(fh)
-        try:
-            columns = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: missing column header") from None
-        rows = [row for row in reader if row]
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            first = fh.readline()
+            if not first.startswith("# schema="):
+                raise FormatError(f"{path}: missing schema header line")
+            name = first[len("# schema="):].strip().split(" ")[0]
+            reader = csv.reader(fh)
+            columns = next(reader, None)
+            if columns is None:
+                raise FormatError(f"{path}: missing column header")
+            rows = [row for row in reader if row]
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 ({exc})") from exc
     return name, columns, rows

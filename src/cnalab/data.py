@@ -286,21 +286,14 @@ def _strokes_ink(strokes, m, aa=0.02):
     return ink
 
 
-def _warp(segments, rot, scale, shear, shift):
-    c, s = np.cos(rot), np.sin(rot)
-    mat = np.array([[c, -s], [s, c]]) @ np.array([[1.0, shear], [0.0, 1.0]]) * scale
-    centered = segments - 0.5
-    return centered @ mat.T + 0.5 + shift
-
-
 # Images per _strokes_ink call: bounds its per-pair temporaries to about 2 MB.
 _CHUNK = 16
 
 
 def _render_corpus(n, seed, stream, glyphs, default_thickness, source):
-    """n glyph images. Each scalar uniform(lo, hi) draw is written as numpy
-    computes it, lo + (hi - lo) * random(): the same values without
-    Generator.uniform's per-call overhead."""
+    """n glyph images, each warped by one 2x2 matrix. Each scalar uniform(lo, hi)
+    draw is written as numpy computes it, lo + (hi - lo) * random(): the same
+    values without Generator.uniform's per-call overhead."""
     rng = seeded_rng(seed, "data", counter=stream)
     labels = seeded_rng(seed, "labels", counter=stream).integers(0, 10, size=n)
     images = np.empty((n, 1, _SIZE, _SIZE))
@@ -316,10 +309,12 @@ def _render_corpus(n, seed, stream, glyphs, default_thickness, source):
             shear = (-1 + 2 * rng.random()) * 0.35 * hardness
             shift = rng.uniform(-0.07, 0.07, size=2)
             sigma[i] = 0.02 + 0.28 * hardness
+            c, s = np.cos(rot), np.sin(rot)
+            warp = (np.array([[c, -s], [s, c]]) @ np.array([[1.0, shear], [0.0, 1.0]]) * scale).T
             for entry in glyphs[labels[i]]:
                 segs, thickness = entry if isinstance(entry, tuple) else (
                     entry, default_thickness * (0.8 + (1.25 - 0.8) * rng.random()))
-                strokes.append((i - start, _warp(segs, rot, scale, shear, shift), thickness))
+                strokes.append((i - start, (segs - 0.5) @ warp + 0.5 + shift, thickness))
             rng.standard_normal(out=pixels[i])      # the noise, drawn in place
         chunk = pixels[start:stop]
         chunk *= sigma[start:stop, None]

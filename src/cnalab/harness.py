@@ -163,13 +163,16 @@ def run_training(cfg, log=print):
 
 
 def _load_curves(path, up_to_epoch):
-    """The curves.csv rows up to up_to_epoch; later ones, appended before a
-    crash (a torn last line among them), are dropped."""
+    """The curves.csv rows up to up_to_epoch, each parsed or a FormatError;
+    later ones, appended before a crash (a torn line among them), are dropped."""
     if not os.path.exists(path) or up_to_epoch == 0:
         return []
     _, _, rows = read_csv(path)
-    return [(int(r[0]), int(r[1]), float(r[2])) for r in rows
-            if len(r) == 3 and int(r[0]) <= up_to_epoch]
+    try:
+        return [(int(r[0]), int(r[1]), float(r[2])) for r in rows
+                if len(r) == 3 and int(r[0]) <= up_to_epoch]
+    except ValueError as exc:
+        raise FormatError(f"{path}: bad curves row ({exc})") from exc
 
 
 def _save_trajectory(out_dir, trajectory, probe_alphas):
@@ -187,8 +190,12 @@ def _load_trajectory(out_dir):
         return None, None
     try:
         with np.load(path) as z:
+            states, steps, losses = z["states"], z["steps"], z["losses"]
+            if states.ndim != 2 or not steps.shape == losses.shape == states.shape[:1]:
+                raise ValueError(f"shapes {states.shape}, {steps.shape}, {losses.shape} of "
+                                 "states, steps, losses")
             samples = [TrajectorySample(step=int(step), state=state, loss=float(loss))
-                       for step, state, loss in zip(z["steps"], z["states"], z["losses"])]
+                       for step, state, loss in zip(steps, states, losses)]
             return Trajectory(samples), z["probe_alphas"]
     except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise FormatError(f"{path}: not a trajectory archive ({exc})") from exc

@@ -8,7 +8,7 @@ activation-slope metric. Recording never perturbs the computation.
 
 One layer walk (_walk over _apply_layer) serves forward, the forward half
 of loss_and_gradients, layer_preactivations and, on squared parameters,
-metrics.path_norm.
+metrics.path_norm. Backward, dense and conv2d layers share one gradient tail.
 
 Depth map: the layers counted as depth 1..L are the parameterized hidden
 layers, in network order. The final parameterized layer (the one
@@ -337,30 +337,25 @@ def loss_and_gradients(net, batch, labels):
     first = min(net.params)    # nothing reads the gradient w.r.t. its input
     for idx, cache in reversed(caches):
         spec = net.specs[idx]
-        if spec.kind == "dense":
-            g = {"W": cache.T @ grad}
-            if spec.bias:
-                g["b"] = grad.sum(axis=0)
-            grads[idx] = g
-            if idx == first:
-                break
-            grad = grad @ net.params[idx]["W"].T
-        elif spec.kind == "conv2d":
-            cols, in_shape, oh, ow = cache
-            w = net.params[idx]["W"]
-            oc = w.shape[0]
-            dpre = grad.transpose(0, 2, 3, 1).reshape(-1, oc)  # (n*oh*ow, oc)
-            g = {"W": (dpre.T @ cols).reshape(w.shape)}
-            if spec.bias:
-                g["b"] = dpre.sum(axis=0)
-            grads[idx] = g
-            if idx == first:
-                break
-            grad = _col2im(dpre @ w.reshape(oc, -1), in_shape, spec.kernel, spec.stride, oh, ow)
-        elif spec.kind == "relu":
+        if spec.kind == "relu":
             grad = grad * (cache > 0)
         elif spec.kind == "flatten":
             grad = grad.reshape(cache)
+        else:                  # a parameter layer: its output-gradient rows, then one tail
+            w = net.params[idx]["W"]
+            if spec.kind == "dense":
+                rows, g = grad, {"W": cache.T @ grad}
+            else:
+                cols, in_shape, oh, ow = cache
+                rows = grad.transpose(0, 2, 3, 1).reshape(-1, w.shape[0])  # (n*oh*ow, oc)
+                g = {"W": (rows.T @ cols).reshape(w.shape)}
+            if spec.bias:
+                g["b"] = rows.sum(axis=0)
+            grads[idx] = g
+            if idx == first:
+                break
+            grad = rows @ w.T if spec.kind == "dense" else _col2im(
+                rows @ w.reshape(w.shape[0], -1), in_shape, spec.kernel, spec.stride, oh, ow)
     return loss, grads, logits
 
 

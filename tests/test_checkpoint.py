@@ -162,6 +162,17 @@ def test_load_rejects_moments_that_do_not_match_params(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("key,value", [("epoch", -1), ("epoch", 1.5), ("epoch", "2"),
+                                       ("opt_t", -3), ("opt_t", 2.0), ("opt_t", True)])
+def test_load_rejects_a_negative_or_non_integer_epoch_or_step(tmp_path, key, value):
+    _, net, cfg = toy_setup()
+    path = tmp_path / "ck.cnac"
+    save_checkpoint(net, cfg, init_opt_state(net, cfg), 2, path)
+    rewrite_metadata(path, lambda meta: meta.update({key: value}))
+    with pytest.raises(FormatError, match="non-negative integers"):
+        load_checkpoint(path)
+
+
 _FUZZ_FILES = itertools.count()
 
 

@@ -653,6 +653,39 @@ def test_legacy_latest_checkpoint_resumes_then_is_removed(tmp_path, capsys, late
     assert run_files(cfg["output_dir"]) == latest_run
 
 
+def test_a_legacy_latest_checkpoint_newer_than_every_named_one_is_resumed(tmp_path, capsys,
+                                                                         latest_run):
+    cfg_path, cfg = toy_config(tmp_path, "run", epochs=1, keep_checkpoints="latest")
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    first = pathlib.Path(cfg["output_dir"], "ckpt_epoch0001.cnac").read_bytes()
+    assert main(["train", "--config", str(toy_config(tmp_path, "run", epochs=2,
+                                                     keep_checkpoints="latest")[0])]) == 0
+    os.rename(os.path.join(cfg["output_dir"], "ckpt_epoch0002.cnac"),
+              os.path.join(cfg["output_dir"], "ckpt_latest.cnac"))
+    pathlib.Path(cfg["output_dir"], "ckpt_epoch0001.cnac").write_bytes(first)
+    more_path, _ = toy_config(tmp_path, "run", epochs=3, keep_checkpoints="latest")
+    capsys.readouterr()
+    assert main(["train", "--config", str(more_path)]) == 0
+    assert "from epoch 2" in capsys.readouterr().out
+    assert run_files(cfg["output_dir"]) == latest_run
+
+
+@pytest.mark.parametrize("old,new", [(b"\n1,0,", b"\n1x,0,"), (b"\n1,0,", b"\n1,0,\xff")],
+                         ids=["epoch-1x", "not-utf8"])
+def test_a_corrupt_curves_file_is_a_format_error_on_resume(tmp_path, capsys, old, new):
+    cfg_path, cfg = toy_config(tmp_path, "run", epochs=2)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    curves = pathlib.Path(cfg["output_dir"], "curves.csv")
+    raw = curves.read_bytes()
+    assert raw.count(old) == 1          # the first data row
+    curves.write_bytes(raw.replace(old, new))
+    more_path, _ = toy_config(tmp_path, "run", epochs=3)
+    capsys.readouterr()
+    assert main(["train", "--config", str(more_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(curves) in err
+
+
 def test_resume_from_an_older_checkpoint_keeps_each_trajectory_step_once(tmp_path):
     runs = {}
     for name in ("full", "resumed"):
@@ -766,6 +799,16 @@ def test_suite_jobs_below_one_exits_2_before_writing(tmp_path, capsys, jobs):
     assert not os.path.exists(suite["output_root"])
 
 
+def test_a_suite_that_expands_to_zero_cells_exits_2_before_writing(tmp_path, capsys):
+    path, suite = suite_config(tmp_path)
+    suite["grid"]["datasets"], suite["extra_runs"] = [], []
+    path.write_text(json.dumps(suite))
+    assert main(["suite", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "zero cells" in err
+    assert not os.path.exists(suite["output_root"])
+
+
 def test_landscape_creates_its_out_directory(tmp_path):
     cfg_path, cfg = toy_config(tmp_path, "traj", epochs=2, record_trajectory=True,
                                probe_size=32)
@@ -820,6 +863,26 @@ def test_a_corrupt_trajectory_is_a_format_error_not_a_traceback(tmp_path, capsys
     os.unlink(os.path.join(cfg["output_dir"], "ckpt_epoch0002.cnac"))
     assert main(["train", "--config", str(cfg_path)]) == 3
     assert path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda a: dict(a, steps=a["steps"][:3], losses=a["losses"][:3]),
+    lambda a: dict(a, states=a["states"][:, None]),
+], ids=["3-steps-for-10-states", "3-d-states"])
+def test_trajectory_arrays_that_disagree_in_shape_are_a_format_error(tmp_path, capsys, edit):
+    cfg_path, cfg = toy_config(tmp_path, "traj", epochs=2, record_trajectory=True,
+                               probe_size=16)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    path = os.path.join(cfg["output_dir"], "trajectory.npz")
+    with np.load(path) as z:
+        arrays = dict(z)
+    assert len(arrays["states"]) == len(arrays["steps"]) == len(arrays["losses"]) == 10
+    np.savez(path, **edit(arrays), probe_n=np.int64(16), n_layers=np.int64(2))
+    capsys.readouterr()
+    assert main(["landscape", "--run", cfg["output_dir"], "--resolution", "5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and path in err
+    assert not os.path.exists(os.path.join(cfg["output_dir"], "trajectory.csv"))
 
 
 def test_main_sets_the_malloc_policy_before_dispatching(monkeypatch):

@@ -8,6 +8,7 @@ import pathlib
 import re
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -202,6 +203,26 @@ def test_fuzzed_field_is_accepted_or_config_error(base_arch, path, value):
         resolve_datasets(cfg.dataset)
     except (ConfigError, DataError):
         pass
+
+
+def test_idx_spec_sizes_take_the_head_of_each_file(tmp_path):
+    from cnalab.data import LabeledDataset, load_idx, write_idx
+    rng = np.random.default_rng(4)
+    spec = {"name": "mnist", "train_size": 3, "test_size": 2}
+    files = {}
+    for split, n in (("train", 7), ("test", 5)):
+        ds = LabeledDataset(rng.integers(0, 256, size=(n, 1, 4, 3)) / 255.0,
+                            rng.integers(0, 10, size=n), 10)
+        paths = (str(tmp_path / f"{split}-images.idx"), str(tmp_path / f"{split}-labels.idx"))
+        spec[f"{split}_images"], spec[f"{split}_labels"] = paths
+        write_idx(ds, *paths)
+        files[split] = load_idx(*paths)
+    for split, got in zip(("train", "test"), resolve_datasets(spec)):
+        n = spec[f"{split}_size"]
+        assert got.inputs.tobytes() == files[split].inputs[:n].tobytes()
+        assert got.labels.tolist() == files[split].labels[:n].tolist()
+    whole = resolve_datasets(dict(spec, train_size=0, test_size=50))   # 0: the whole file
+    assert [len(ds) for ds in whole] == [7, 5]
 
 
 @pytest.mark.parametrize("spec", [

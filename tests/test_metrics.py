@@ -3,6 +3,7 @@
 import collections
 import gc
 import hashlib
+import json
 import math
 import weakref
 from unittest import mock
@@ -699,6 +700,27 @@ def test_gap_metric_set_reuses_the_passes_it_is_given(monkeypatch):
             m.setattr(metrics, "trace_over_dataset", None)    # any call would fail
             got = metrics.gap_metric_set(net, train, test, cna_split=split, **passes)
         assert got.to_dict() == expected.to_dict()
+
+
+def test_gap_metric_set_on_a_zero_weight_net_leaves_cna_undefined_and_written_null(tmp_path):
+    from cnalab.records import RunRecord, read_record, write_record
+    net = nn.build_network([nn.dense(4, 6), nn.relu(), nn.dense(6, 6), nn.relu(),
+                            nn.dense(6, 3)], 5, (4,))
+    for _, _, arr in net.param_items():
+        arr[:] = 0.0            # every pre-activation is 0: beta has no variance
+    rng = np.random.default_rng(8)
+    train = LabeledDataset(rng.uniform(size=(40, 4)), rng.integers(0, 3, size=40), 3)
+    test = LabeledDataset(rng.uniform(size=(30, 4)), rng.integers(0, 3, size=30), 3)
+    for split in ("train", "test"):
+        got = metrics.gap_metric_set(net, train, test, cna_split=split)
+        assert got.cna is None and got.cna_margin is None
+    path = tmp_path / "record_epoch0001.json"
+    write_record(RunRecord(dataset="toy", arch="mlp", corruption=0.0, epoch=1, train_acc=0.5,
+                           test_acc=0.5, gap=0.0, metrics=got.to_dict()), path)
+    written = json.loads(path.read_text())["metrics"]
+    assert written["cna"] is None and written["cna_margin"] is None
+    assert '"cna": null' in path.read_text()
+    assert read_record(path).metrics == got.to_dict()
 
 
 def test_gap_metric_set_on_an_empty_split_raises_data_error():

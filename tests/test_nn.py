@@ -1,5 +1,7 @@
 """Engine tests: construction, forward/trace, gradients, invariants."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -360,3 +362,57 @@ def test_backprop_stops_at_the_first_parameterized_layer(monkeypatch):
     nn.loss_and_gradients(net, x, y)
     assert shapes == [(4, 3, 3, 3)]      # the second conv's input only, never the image
     assert finite_difference_check(net, x, y) < 1e-4
+
+
+def golden_conv_specs(bias):
+    return [nn.conv2d(2, 3, 3, stride=2, bias=bias), nn.relu(), nn.conv2d(3, 4, 2, bias=bias),
+            nn.relu(), nn.flatten(), nn.dense(4 * 2 * 2, 5, bias=bias), nn.relu(),
+            nn.dense(5, 3, bias=bias)]
+
+
+# sha256 of the loss (as float64) and of every gradient that loss_and_gradients
+# returns on a fixed batch: a bitwise guard for the backward step, which the
+# finite-difference tests above check only approximately.
+GOLDEN_GRADIENTS = [
+    (golden_conv_specs(True), (2, 7, 7), {
+        "loss": "d239f74731545e22587a0b985406c62210e3a79d42d627b2c830eaa07e3583ad",
+        "0.W": "e929d573e694307add068954d72bdcfa78f3a224d41f5318e6baef1b4351e617",
+        "0.b": "990cc8e79d6c28111ee8d6e710b6292c387eeb97d7ade3f661460f6f3be7c336",
+        "2.W": "e155cfbe47b9a393c4e1ca8eaaf259b11589d066f1266ecc5265e78063247dd5",
+        "2.b": "1322ce73dc84999c2779d993479508737957c7b1e17fa7cc9976fcbc3962988a",
+        "5.W": "fb3f0da5730161ceca1ab88a220ac775945e523de07665471d7f1f934bff3e4b",
+        "5.b": "c087d5c84ca89814ebfcb88e8af8221cd4cd1058a68deb91b594bd53db9b9c90",
+        "7.W": "a2ee836d7f1582bfb667678d1cdfb110feba60f0ca7c48a57bf45bc59572254d",
+        "7.b": "b230534bb11f9f4782957af64cdb515b7131d61d250390ae93a697ea72464f88"}),
+    (golden_conv_specs(False), (2, 7, 7), {
+        "loss": "3d2cc42b1cfa8222851fde1cb0e73358f4dbeb88b518d20055b3a80ea13e3f7d",
+        "0.W": "592be8eeb8438b3e07e152e67f3f5b725fc024b729036725b527ff3495a490ac",
+        "2.W": "2e5e0ba6152537cdd5028c3452d197627d9df0fabe2c2056ef02922552b90146",
+        "5.W": "020557bf67e29884f7b8b61d176a6bb80ba3d73f950fb48d999208d38e462afc",
+        "7.W": "0b94206792509f32e379e6e7533c94729d54163837ce601d19d48935ed87c8b4"}),
+    ([nn.dense(6, 5), nn.relu(), nn.dense(5, 4), nn.relu(), nn.dense(4, 3)], (6,), {
+        "loss": "c55e9c8e27bdcb2c6dc1a700c9bc8fe361756496f5d3c2bf6015e6bee8285dd5",
+        "0.W": "c195a7b49869a2452237e5ea386a543b81ff79264869840ab3aa0a365276fe27",
+        "0.b": "1e0a6afb579d640c29f8e493751c379b87c87a8af9cc3ae9c499a0932e640cb3",
+        "2.W": "27602d8b6f568a126b942629db15a19cb58f5d67955a7b6bc3328cd5f5c741a2",
+        "2.b": "121029851d047307f4b71a964a216053cbcc3a06da237227e865addce33bf5cf",
+        "4.W": "213784a8d29e63914e28960401d812149be3dd456441a37c5841781835447b85",
+        "4.b": "242539e34ed919f9c1214760fbc792ebf336bc376cecd34e4586c4d28546df53"}),
+]
+
+
+@pytest.mark.parametrize("specs,input_shape,digests", GOLDEN_GRADIENTS,
+                         ids=["conv", "conv-bias-free", "mlp"])
+def test_loss_and_gradients_bitwise_golden(specs, input_shape, digests):
+    net = nn.build_network(specs, 11, input_shape)
+    rng = np.random.default_rng(12)
+    for _, name, arr in net.param_items():
+        if name == "b":
+            arr[:] = rng.normal(scale=0.3, size=arr.shape)
+    x = rng.normal(size=(6,) + input_shape)
+    y = rng.integers(0, 3, 6)
+    loss, grads, _ = nn.loss_and_gradients(net, x, y)
+    got = {"loss": hashlib.sha256(np.float64(loss).tobytes()).hexdigest()}
+    got.update((f"{idx}.{name}", hashlib.sha256(g.tobytes()).hexdigest())
+               for idx in sorted(grads) for name, g in sorted(grads[idx].items()))
+    assert got == digests
