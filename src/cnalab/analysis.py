@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, UndefinedCorrelationError
-from .metrics import METRIC_NAMES, _cna, pearson
+from .metrics import METRIC_NAMES, _cna, _or_undefined, pearson
 from .nn import forward
 
 
@@ -106,14 +106,9 @@ def cna_at_points(basis, coords, probe_alphas):
     if alphas.std() == 0.0:
         raise UndefinedCorrelationError("alpha", "probe entropies are constant")
 
-    states = basis.reconstruct(coords)
-    values = np.empty(len(coords))
-    for i, state in enumerate(states):
-        try:
-            values[i] = _cna(alphas, state.reshape(probe_n, n_layers))
-        except UndefinedCorrelationError:
-            values[i] = np.nan
-    return values
+    states = basis.reconstruct(coords)     # an undefined cell's None becomes NaN
+    return np.array([_or_undefined(_cna, alphas, state.reshape(probe_n, n_layers))
+                     for state in states], dtype=np.float64)
 
 
 @dataclass
@@ -216,14 +211,9 @@ def gap_correlation_report(runs, metric_names=None, min_runs=3, group_by="arch")
             pairs = [(r.metrics.get(metric), r.gap) for r in selected]
             pairs = [(m, g) for m, g in pairs
                      if m is not None and np.isfinite(m) and g is not None]
-            if len(pairs) < min_runs:
-                cells.append(ReportCell(metric, group, None, len(pairs)))
-                continue
             vals = np.array([m for m, _ in pairs])
             gaps = np.array([g for _, g in pairs])
-            try:
-                rho = pearson(vals, gaps, names=(metric, "gap"))
-            except UndefinedCorrelationError:
-                rho = None
+            rho = _or_undefined(pearson, vals, gaps, names=(metric, "gap")) \
+                if len(pairs) >= min_runs else None
             cells.append(ReportCell(metric, group, rho, len(pairs)))
     return cells

@@ -20,18 +20,18 @@ from .errors import ConfigError, DataError
 from .metrics import EntropyConfig
 from .optim import OptConfig
 
-DATASET_NAMES = ("mnist", "fashion-mnist", "synthetic-digits", "synthetic-shapes",
-                 "gaussian-noise")
+DATASET_NAMES = ("mnist", "fashion-mnist", *data_mod._CORPORA, "gaussian-noise")
 
+# The field that holds each architecture's widths, one per layer.
+WIDTHS = {"mlp": "hidden", "cnn": "channels"}
 # The (least, most) value of each numeric config field, in whichever section
 # it appears; a field with int bounds holds an int. Dataset sizes of 0 mean
-# the corpus default; hidden and channels hold one width per layer.
+# the corpus default.
 LIMITS = dict.fromkeys(("epochs", "snapshot_interval", "probe_size", "kernel", "stride",
-                        "hidden", "channels"), (1, math.inf)) \
+                        *WIDTHS.values()), (1, math.inf)) \
     | dict.fromkeys(("init_seed", "shuffle_seed", "probe_seed", "seed", "corruption_seed",
                      "train_size", "test_size"), (0, math.inf)) \
     | {"corruption": (0.0, 0.5), "margin_percentile": (0.0, 100.0)}
-LAYER_WIDTHS = ("hidden", "channels")
 # The values each string config field may take.
 CHOICES = {"aggregation": ("mean", "sum"), "cna_split": ("test", "train"),
            "keep_checkpoints": ("all", "latest")}
@@ -61,7 +61,7 @@ def _check(section, path=""):
             raise ConfigError(f"{name} must be one of {CHOICES[key]}, got {value!r}")
         if value is not None and key in LIMITS:
             least, most = LIMITS[key]
-            for item in as_type(list, value, name) if key in LAYER_WIDTHS else [value]:
+            for item in as_type(list, value, name) if key in WIDTHS.values() else [value]:
                 if not least <= as_type(type(least), item, name) <= most:
                     raise ConfigError(f"{name} must lie in [{least}, {most}], got {value!r}")
 
@@ -145,7 +145,7 @@ class ExperimentConfig:
         _check(vars(self))
         _check_spec(self.dataset, "dataset", DATASET_NAMES)
         name, arch = _arch_fields(self.arch)
-        key = "hidden" if name == "mlp" else "channels"
+        key = WIDTHS[name]
         if len(arch[key]) + self.metrics.include_output < 2:    # the slope metrics need L >= 2
             raise ConfigError(f"arch.{key}: {arch[key]!r} maps fewer than 2 layers to depths")
 
@@ -220,11 +220,9 @@ def resolve_datasets(dataset_cfg):
             train = train.subset(range(min(train_size, len(train))))
         if test_size:
             test = test.subset(range(min(test_size, len(test))))
-    elif name in ("synthetic-digits", "synthetic-shapes"):
-        gen = data_mod.synthetic_digits if name == "synthetic-digits" \
-            else data_mod.synthetic_shapes
-        train = gen(train_size or 4000, seed, stream=0)
-        test = gen(test_size or 1000, seed, stream=1)
+    elif name in data_mod._CORPORA:
+        train = data_mod._synthetic(name, train_size or 4000, seed, stream=0)
+        test = data_mod._synthetic(name, test_size or 1000, seed, stream=1)
     else:   # gaussian-noise
         n_train = train_size or 1000
         n_test = test_size or n_train
@@ -279,4 +277,4 @@ def build_arch(arch_cfg, input_shape, classes):
 def arch_id(arch_cfg):
     """Short architecture name, e.g. mlp-128x128 or cnn-4x8."""
     name, arch = _arch_fields(arch_cfg)
-    return name + "-" + "x".join(str(w) for w in arch["hidden" if name == "mlp" else "channels"])
+    return name + "-" + "x".join(str(w) for w in arch[WIDTHS[name]])

@@ -37,6 +37,7 @@ from .rng import seeded_rng
 from .svg import grouped_bars_svg, landscape_svg, scatter_svg
 
 CURVE_BINS = 5
+CURVE_COLUMNS = ("epoch", "bin", "mean_error")
 SUITE_EPOCHS = 10    # a suite cell's epochs when neither the suite nor its run sets them
 
 
@@ -60,10 +61,17 @@ def _checkpoints(out_dir):
                            os.listdir(out_dir)) if m]
 
 
+def _keep_only(cfg, name):
+    """Under keep_checkpoints "latest", delete every checkpoint of the run but name."""
+    if cfg.keep_checkpoints == "latest":
+        for old in {m[0] for m in _checkpoints(cfg.output_dir)} - {name}:
+            os.unlink(os.path.join(cfg.output_dir, old))
+
+
 def _latest_checkpoint(out_dir):
-    """The newest checkpoint in out_dir that loads, or None: ckpt_epochNNNN
-    files newest first by the epoch in their name, skipping any that fail to
-    load or store another epoch; a legacy ckpt_latest.cnac only if newer."""
+    """(name, Checkpoint) of the newest checkpoint in out_dir that loads, or (None, None):
+    ckpt_epochNNNN files newest first by the epoch in their name, skipping any that
+    fail to load or store another epoch; a legacy ckpt_latest.cnac only if newer."""
     def load(path):
         with contextlib.suppress(CnaLabError):
             return load_checkpoint(path)
@@ -76,8 +84,8 @@ def _latest_checkpoint(out_dir):
             break
         ck = load(os.path.join(out_dir, name))
         if ck is not None and ck.epoch == epoch:
-            return ck
-    return best
+            return name, ck
+    return (None, None) if best is None else (os.path.basename(legacy), best)
 
 
 def _select_probe(n, probe_size, probe_seed):
@@ -96,10 +104,11 @@ def run_training(cfg, log=print):
     train_ds, test_ds = resolve_datasets(cfg.dataset)
     opts = cfg.metrics
 
-    resumed = _latest_checkpoint(cfg.output_dir)
+    name, resumed = _latest_checkpoint(cfg.output_dir)
     if resumed is not None:
         net, opt_state, start_epoch = resumed.net, resumed.opt_state, resumed.epoch
         log(f"[train] resuming {cfg.output_dir} from epoch {start_epoch}")
+        _keep_only(cfg, name)    # what a crash before the last prune left
     else:
         specs = build_arch(cfg.arch, train_ds.inputs.shape[1:], train_ds.classes)
         net = build_network(specs, cfg.init_seed, train_ds.inputs.shape[1:],
@@ -125,7 +134,7 @@ def run_training(cfg, log=print):
             trajectory.append(record_state(net, probe, step, loss))
 
     curves = os.path.join(cfg.output_dir, "curves.csv")
-    write_csv(curves, "curves", ("epoch", "bin", "mean_error"), _load_curves(curves, start_epoch))
+    write_csv(curves, "curves", CURVE_COLUMNS, _load_curves(curves, start_epoch))
 
     for epoch in range(start_epoch + 1, cfg.epochs + 1):
         train_loss, _ = train_epoch(net, train_ds, cfg.optimizer, opt_state,
@@ -152,9 +161,7 @@ def run_training(cfg, log=print):
             ckpt = ckpt_path(cfg.output_dir, epoch)
             save_checkpoint(net, cfg.optimizer, opt_state, epoch, ckpt,
                             seeds={"init": cfg.init_seed, "shuffle": cfg.shuffle_seed})
-            if cfg.keep_checkpoints == "latest":
-                for old in {m[0] for m in _checkpoints(cfg.output_dir)} - {os.path.basename(ckpt)}:
-                    os.unlink(os.path.join(cfg.output_dir, old))
+            _keep_only(cfg, os.path.basename(ckpt))
             log(f"[train] {cfg.output_dir} epoch {epoch}: "
                 f"loss={train_loss:.4f} train_acc={train_acc:.4f} test_acc={test_acc:.4f}")
 
@@ -163,11 +170,13 @@ def run_training(cfg, log=print):
 
 
 def _load_curves(path, up_to_epoch):
-    """The curves.csv rows up to up_to_epoch, each parsed or a FormatError;
+    """The rows of a curves-schema file up to up_to_epoch, each parsed or a FormatError;
     later ones, appended before a crash (a torn line among them), are dropped."""
     if not os.path.exists(path) or up_to_epoch == 0:
         return []
-    _, _, rows = read_csv(path)
+    schema, columns, rows = read_csv(path)
+    if (schema, tuple(columns)) != ("curves", CURVE_COLUMNS):
+        raise FormatError(f"{path}: schema {schema!r}, columns {columns}; expected curves")
     try:
         return [(int(r[0]), int(r[1]), float(r[2])) for r in rows
                 if len(r) == 3 and int(r[0]) <= up_to_epoch]
@@ -251,7 +260,8 @@ def _run_cell(cfg):
 
 
 def run_suite(suite, jobs=1, log=print):
-    """Run every cell (skipping completed ones), then write a summary.
+    """Run every cell (skipping completed ones), write a summary, then report
+    on the RunRecords under output_root (skipped, and logged, when too few).
 
     Returns (summary dict, output_root). A cell is complete when its
     final-epoch RunRecord exists. At most min(jobs, pending cells) workers
@@ -283,6 +293,10 @@ def run_suite(suite, jobs=1, log=print):
     _write_json(os.path.join(output_root, "suite_summary.json"), summary)
     for cell in summary["cells"]:
         log(f"[suite] {cell['status']:8s} {cell['output_dir']} {cell['error']}")
+    try:
+        make_report(f"{glob.escape(output_root)}/**/record_epoch*.json", output_root, log=log)
+    except DataError as exc:
+        log(f"[suite] report skipped: {exc}")
     return summary, output_root
 
 

@@ -18,6 +18,7 @@ memoised per process.
 """
 
 import collections
+import contextlib
 import math
 import weakref
 from dataclasses import asdict, dataclass, fields
@@ -175,6 +176,12 @@ def cna(net, inputs, cfg=EntropyConfig()):
 def _cna(alphas, z):
     """Pearson correlation of entropies and the slopes of the trace z."""
     return pearson(alphas, slope_vector(z), names=("alpha", "beta"))
+
+
+def _or_undefined(correlation, *args, **kwargs):
+    """correlation(*args, **kwargs), or None where it is undefined."""
+    with contextlib.suppress(UndefinedCorrelationError):
+        return correlation(*args, **kwargs)
 
 
 def output_margin(logits, label):
@@ -338,20 +345,15 @@ def gap_metric_set(net, train_ds, test_ds, cfg=EntropyConfig(), percentile=10.0,
         train_pass = trace_over_dataset(net, train_ds.inputs)
     margins = margin_vector(train_pass[1], train_ds.labels)
     out = GapMetricSet(**_norms(net, float(np.percentile(margins, percentile))))
-    try:
-        base = _cna(train_alphas, train_pass[0])
+    base = _or_undefined(_cna, train_alphas, train_pass[0])
+    if base is not None:
         out.cna_margin = _margin_scaled(base, margins, percentile)
-        if cna_split == "train":
-            out.cna = base
-    except UndefinedCorrelationError:
-        pass
-    if cna_split == "test":
+    if cna_split == "train":
+        out.cna = base
+    elif cna_split == "test":
         if test_alphas is None:
             test_alphas = entropy_vector(test_ds.inputs, cfg)
         if test_pass is None:
             test_pass = trace_over_dataset(net, test_ds.inputs)
-        try:
-            out.cna = _cna(test_alphas, test_pass[0])
-        except UndefinedCorrelationError:
-            pass
+        out.cna = _or_undefined(_cna, test_alphas, test_pass[0])
     return out

@@ -20,8 +20,8 @@ a b iff spec.bias) of the right shape per parameterized layer.
 check_finite raises NumericError on NaN/Inf. forward and
 loss_and_gradients check the logits, backward each gradient.
 
-Everything runs single-threaded with numpy's fixed reduction order, so
-(seed, config) determines every result bitwise.
+Results are bitwise reproducible for the same (seed, config), numpy/OpenBLAS
+build, BLAS kernel and BLAS thread count (left at the process's setting).
 """
 
 import math

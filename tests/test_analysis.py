@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cnalab import nn
-from cnalab.analysis import (ALL_NETS, Trajectory, TrajectorySample, binned_error_curves,
-                             cna_at_points, cna_landscape, complexity_bins,
-                             gap_correlation_report, pca2, record_state)
+from cnalab.analysis import (ALL_NETS, Pca2Basis, Trajectory, TrajectorySample,
+                             binned_error_curves, cna_at_points, cna_landscape,
+                             complexity_bins, gap_correlation_report, pca2, record_state)
 from cnalab.errors import DataError, UndefinedCorrelationError
 from cnalab.metrics import slope_vector
 from cnalab.records import RunRecord
@@ -133,6 +133,17 @@ def test_landscape_constant_alpha_rejected():
     basis, _ = pca2(samples)
     with pytest.raises(UndefinedCorrelationError):
         cna_landscape(basis, (0, 1), (0, 1), 3, np.ones(6))
+
+
+def test_a_zero_slope_variance_cell_is_nan():
+    probe_n, n_layers = 5, 3
+    rng = np.random.default_rng(14)
+    components = np.linalg.qr(rng.normal(size=(probe_n * n_layers, 2)))[0].T
+    basis = Pca2Basis(mean=np.zeros(probe_n * n_layers), components=components,
+                      explained_variance=np.ones(2))
+    values = cna_at_points(basis, [(0.0, 0.0), (1.0, 2.0)], rng.random(probe_n))
+    assert np.isnan(values[0])          # the all-zero state has no slope variance
+    assert np.isfinite(values[1])
 
 
 def test_complexity_bins_balanced():

@@ -1,5 +1,6 @@
 """CLI and harness tests: commands, exit codes, emitted files."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -936,3 +937,113 @@ def test_rendering_under_the_malloc_policy_takes_few_page_faults():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert int(out) < 4000
+
+
+# --- crash at every write boundary, then resume -----------------------------
+
+def digests(out_dir):
+    """{name: sha256} of every file in out_dir but temp files."""
+    return {name: hashlib.sha256(pathlib.Path(out_dir, name).read_bytes()).hexdigest()
+            for name in sorted(os.listdir(out_dir)) if not name.endswith(".tmp")}
+
+
+@pytest.mark.parametrize("keep", ["all", "latest"])
+def test_a_resumed_run_equals_an_uninterrupted_one_at_every_write_boundary(
+        tmp_path, monkeypatch, keep):
+    from cnalab import harness
+    calls = {"n": 0, "fail_at": None}
+
+    def counted(real):
+        def call(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == calls["fail_at"]:
+                raise Crash
+            return real(*args, **kwargs)
+        return call
+
+    for module, name in ((os, "replace"), (os, "unlink"), (harness, "append_csv")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    dataset = {"name": "synthetic-digits", "train_size": 120, "test_size": 60, "seed": 7}
+
+    def train(name):     # in its own directory, so config.json's output_dir is the same
+        (tmp_path / name).mkdir(exist_ok=True)
+        monkeypatch.chdir(tmp_path / name)
+        cfg_path, _ = toy_config(tmp_path / name, epochs=3, keep_checkpoints=keep,
+                                 dataset=dataset, arch={"name": "mlp", "hidden": [16, 16]},
+                                 optimizer={"kind": "adam", "lr": 0.001, "batch_size": 40},
+                                 output_dir="run")
+        main(["train", "--config", str(cfg_path)])
+        return tmp_path / name / "run"
+
+    expected = digests(train("full"))
+    n_writes, calls["n"] = calls["n"], 0
+    assert n_writes == {"all": 11, "latest": 13}[keep]
+    for fail_at in range(1, n_writes + 1):
+        calls.update(n=0, fail_at=fail_at)
+        with pytest.raises(Crash):
+            train(f"crash{fail_at}")
+        calls["fail_at"] = None
+        assert digests(train(f"crash{fail_at}")) == expected, f"crash at write {fail_at}"
+
+
+@pytest.mark.parametrize("content", [
+    b"# schema=report v1\nmetric,group,rho,n\ncna,All Nets,0.5,4\n",
+    b"epoch,bin,mean_error\n1,0,0.5\n",
+    b"# schema=curves v1\n",
+], ids=["report-schema", "no-schema-line", "no-column-header"])
+def test_a_resumed_curves_file_that_is_not_a_curves_table_is_a_format_error(tmp_path, capsys,
+                                                                           content):
+    cfg_path, cfg = toy_config(tmp_path, "run", epochs=2)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    curves = pathlib.Path(cfg["output_dir"], "curves.csv")
+    curves.write_bytes(content)
+    more_path, _ = toy_config(tmp_path, "run", epochs=3)
+    capsys.readouterr()
+    assert main(["train", "--config", str(more_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(curves) in err
+
+
+def test_a_cnn_whose_spatial_size_collapses_exits_2(tmp_path, capsys):
+    cfg_path, _ = toy_config(tmp_path, arch={"name": "cnn", "channels": [4, 8, 16],
+                                             "kernel": 5, "stride": 2})
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert "cnn spatial size collapsed" in capsys.readouterr().err
+
+
+def test_a_suite_with_too_few_records_skips_its_report(tmp_path, capsys):
+    path, suite = suite_config(tmp_path)
+    suite["grid"]["corruptions"], suite["extra_runs"] = [0.0], []
+    path.write_text(json.dumps(suite))
+    assert main(["suite", "--config", str(path)]) == 0
+    out = capsys.readouterr()
+    assert "report skipped" in out.out + out.err
+    assert os.path.exists(os.path.join(suite["output_root"], "suite_summary.json"))
+    assert not os.path.exists(os.path.join(suite["output_root"], "report.json"))
+
+
+def test_landscape_on_states_of_another_probe_size_exits_3(tmp_path, capsys):
+    cfg_path, cfg = toy_config(tmp_path, "traj", epochs=2, record_trajectory=True,
+                               probe_size=16)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    path = os.path.join(cfg["output_dir"], "trajectory.npz")
+    with np.load(path) as z:
+        arrays = dict(z)
+    assert arrays["states"].shape[1] == 32           # 16 probe points x 2 layers
+    np.savez(path, **dict(arrays, probe_alphas=arrays["probe_alphas"][:15]))
+    capsys.readouterr()
+    assert main(["landscape", "--run", cfg["output_dir"], "--resolution", "5"]) == 3
+    assert "not a multiple of probe size 15" in capsys.readouterr().err
+
+
+def test_a_report_whose_norm_baselines_are_all_null_says_so(tmp_path):
+    for i, (g, v) in enumerate(zip([0.05, 0.25, 0.10], [0.1, 0.6, 0.2])):
+        write_record(RunRecord(dataset="toy", arch="mlp", corruption=0.0, epoch=i,
+                               train_acc=0.9, test_acc=0.9 - g, gap=g,
+                               metrics={"cna": v, "cna_margin": v, "frobenius": None,
+                                        "spectral": None, "path": None}),
+                     tmp_path / f"record_epoch{i:04d}.json")
+    out = tmp_path / "rep"
+    assert main(["report", "--runs", str(tmp_path / "record_*.json"), "--out", str(out)]) == 0
+    finding = json.loads(pathlib.Path(out, "report.json").read_bytes())["finding"]
+    assert finding.endswith("all norm baselines undefined")
