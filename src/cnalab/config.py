@@ -43,11 +43,16 @@ _ARCH_DEFAULTS = {"mlp": {"hidden": [128, 128]},
 
 def as_type(tp, value, path):
     """value converted by tp, or a ConfigError naming path. dict, list, str
-    and bool take only JSON objects, arrays, strings and true/false."""
+    and bool take only JSON objects, arrays, strings and true/false; int
+    and float refuse true/false, and float a value that is not finite."""
     try:
-        if tp in (dict, list, str, bool) and not isinstance(value, tp):
+        if (tp in (dict, list, str, bool) and not isinstance(value, tp)) or \
+                (tp in (int, float) and isinstance(value, bool)):
             raise TypeError
-        return tp(value)
+        out = tp(value)
+        if tp is float and not math.isfinite(out):
+            raise ValueError
+        return out
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{path}: expected {tp.__name__}, got {value!r}") from None
 
@@ -245,33 +250,29 @@ def _arch_fields(arch_cfg):
 
 
 def build_arch(arch_cfg, input_shape, classes):
-    """Expand an architecture config section into a LayerSpec list."""
+    """Expand an architecture config section into a LayerSpec list: a layer
+    and a relu per width, then the classifier, each dense layer after a
+    flatten when its input is not a vector."""
     name, arch = _arch_fields(arch_cfg)
-    specs = []
-    if name == "mlp":
-        if len(input_shape) != 1:
-            specs.append(nn.flatten())
-        n_in = math.prod(input_shape)
-        for width in arch["hidden"]:
-            specs.append(nn.dense(n_in, int(width)))
-            specs.append(nn.relu())
-            n_in = int(width)
-        specs.append(nn.dense(n_in, classes))
-    else:   # cnn
-        if len(input_shape) != 3:
-            raise ConfigError(f"cnn needs (c, h, w) inputs, got shape {input_shape}")
-        kernel, stride = int(arch["kernel"]), int(arch["stride"])
-        shape = tuple(input_shape)
-        for out_c in arch["channels"]:
+    shape = tuple(input_shape)
+    if name == "cnn" and len(shape) != 3:
+        raise ConfigError(f"cnn needs (c, h, w) inputs, got shape {input_shape}")
+    widths, specs = arch[WIDTHS[name]], []
+    for i, width in enumerate([*widths, classes]):
+        if name == "cnn" and i < len(widths):
+            kernel = int(arch["kernel"])
             if min(shape[1:]) < kernel:
                 raise ConfigError("cnn spatial size collapsed below 1x1; "
                                   "reduce depth, kernel, or stride")
-            specs.append(nn.conv2d(shape[0], int(out_c), kernel, stride))
-            specs.append(nn.relu())
-            shape = nn._propagate_shape(specs[-2], shape)
-        specs.append(nn.flatten())
-        specs.append(nn.dense(math.prod(shape), classes))
-    return specs
+            layer = nn.conv2d(shape[0], int(width), kernel, int(arch["stride"]))
+        else:
+            if len(shape) != 1:
+                specs.append(nn.flatten())
+                shape = nn._shapes(specs[-1], shape)[0]
+            layer = nn.dense(shape[0], int(width))
+        specs += [layer, nn.relu()]
+        shape = nn._shapes(layer, shape)[0]
+    return specs[:-1]       # no relu after the classifier
 
 
 def arch_id(arch_cfg):

@@ -57,7 +57,7 @@ class LabeledDataset:
         return LabeledDataset(self.inputs[indices], self.labels[indices], self.classes, prov)
 
 
-def _read_idx(path, expected_magic, expected_ndim):
+def _read_idx(path, expected_magic):
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 4:
@@ -65,9 +65,7 @@ def _read_idx(path, expected_magic, expected_ndim):
     magic = struct.unpack(">I", raw[:4])[0]
     if magic != expected_magic:
         raise FormatError(f"{path}: bad IDX magic 0x{magic:08x}, expected 0x{expected_magic:08x}")
-    ndim = magic & 0xFF
-    if ndim != expected_ndim:
-        raise FormatError(f"{path}: expected {expected_ndim} dimensions, header says {ndim}")
+    ndim = magic & 0xFF       # the magic fixes it: 0x803 has 3 dimensions, 0x801 one
     header_len = 4 + 4 * ndim
     if len(raw) < header_len:
         raise FormatError(f"{path}: truncated dimension table")
@@ -84,8 +82,8 @@ def load_idx(images_path, labels_path):
 
     Pixels are scaled to [0, 1]; images become (N, 1, h, w).
     """
-    images = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
-    labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
+    images = _read_idx(images_path, IDX_IMAGES_MAGIC)
+    labels = _read_idx(labels_path, IDX_LABELS_MAGIC)
     if images.shape[0] != labels.shape[0]:
         raise FormatError(f"{images_path}: {images.shape[0]} images vs "
                           f"{labels.shape[0]} labels in {labels_path}")

@@ -251,9 +251,9 @@ def build_suite_cells(suite):
     return list(cells.values())
 
 
-def _run_cell(cfg):
+def _run_cell(cfg, log=print):
     try:
-        run_training(cfg)
+        run_training(cfg, log=log)
         return cfg.output_dir, "ok", ""
     except Exception as exc:   # cell failures must not kill the suite
         return cfg.output_dir, "failed", f"{type(exc).__name__}: {exc}"
@@ -286,7 +286,7 @@ def run_suite(suite, jobs=1, log=print):
                                  initializer=malloc_policy) as pool:
             results.extend(pool.map(_run_cell, pending))
     else:
-        results.extend(_run_cell(cfg) for cfg in pending)
+        results.extend(_run_cell(cfg, log) for cfg in pending)
     summary = {"cells": [{"output_dir": d, "status": s, "error": e}
                          for d, s, e in sorted(results)],
                "n_failed": sum(1 for _, s, _ in results if s == "failed")}

@@ -21,7 +21,7 @@ import collections
 import contextlib
 import math
 import weakref
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -261,13 +261,13 @@ def spectral_norm(w, tol=1e-10, max_iter=50000):
 def path_norm(net):
     """Sum of squared-weight products over all input-output paths.
 
-    Computed by the layer walk on an all-ones input with every weight and
-    bias squared; relu is the identity on the resulting non-negative
-    values.
+    Computed by the layer walk on an all-ones input through a copy of net
+    with every weight and bias squared; relu is the identity on the
+    resulting non-negative values.
     """
     squared = {idx: {name: arr ** 2 for name, arr in p.items()} for idx, p in net.params.items()}
     out = np.ones((1,) + net.input_shape)
-    for _, out, _ in _walk(net, out, squared):
+    for _, out, _ in _walk(replace(net, params=squared), out):
         pass
     return float(out.sum())
 

@@ -6,9 +6,13 @@ aggregated pre-activation value for each depth-mapped layer; the
 resulting matrix (N datapoints x L layers) is the raw material for the
 activation-slope metric. Recording never perturbs the computation.
 
-One layer walk (_walk over _apply_layer) serves forward, the forward half
-of loss_and_gradients, layer_preactivations and, on squared parameters,
-metrics.path_norm. Backward, dense and conv2d layers share one gradient tail.
+One shape rule (_shapes) gives each layer kind's output shape and the
+shapes of the parameters it owns; the Network constructor, build_network
+and config.build_arch all read it. One layer walk (_walk over
+_apply_layer), reading only net.params, serves forward, the forward half
+of loss_and_gradients, layer_preactivations and, on a copy of the network
+with squared parameters, metrics.path_norm. Backward, dense and conv2d
+layers share one gradient tail.
 
 Depth map: the layers counted as depth 1..L are the parameterized hidden
 layers, in network order. The final parameterized layer (the one
@@ -31,8 +35,6 @@ import numpy as np
 
 from .errors import DataError, NumericError, ShapeError
 from .rng import seeded_rng
-
-PARAM_KINDS = ("dense", "conv2d")
 
 
 def check_finite(arr, context):
@@ -72,39 +74,32 @@ def flatten():
     return LayerSpec(kind="flatten")
 
 
-def _propagate_shape(spec, shape):
-    """Output shape of one layer given its per-datapoint input shape."""
+def _shapes(spec, shape):
+    """The one shape rule of a layer kind: given the per-datapoint input
+    shape, the layer's output shape and {name: shape} of the parameters it
+    owns (empty for relu and flatten)."""
     if spec.kind == "dense":
         if len(shape) != 1 or shape[0] != spec.in_features:
             raise ShapeError(f"dense layer expects ({spec.in_features},), got {shape}")
-        return (spec.out_features,)
-    if spec.kind == "conv2d":
+        out, params = (spec.out_features,), {"W": (spec.in_features, spec.out_features)}
+    elif spec.kind == "conv2d":
         if len(shape) != 3 or shape[0] != spec.in_channels:
             raise ShapeError(f"conv2d layer expects ({spec.in_channels}, h, w), got {shape}")
-        c, h, w = shape
+        _, h, w = shape
         k, s = spec.kernel, spec.stride
         if h < k or w < k:
             raise ShapeError(f"conv2d kernel {k} larger than input {h}x{w}")
-        return (spec.out_channels, (h - k) // s + 1, (w - k) // s + 1)
-    if spec.kind == "relu":
-        return shape
-    if spec.kind == "flatten":
-        return (int(np.prod(shape)),)
-    raise ShapeError(f"unknown layer kind {spec.kind!r}")
-
-
-def _param_shapes(spec):
-    """Name -> shape of the parameters one layer owns; empty for relu/flatten."""
-    if spec.kind == "dense":
-        shapes, n_out = {"W": (spec.in_features, spec.out_features)}, spec.out_features
-    elif spec.kind == "conv2d":
-        k = spec.kernel
-        shapes, n_out = {"W": (spec.out_channels, spec.in_channels, k, k)}, spec.out_channels
+        out = (spec.out_channels, (h - k) // s + 1, (w - k) // s + 1)
+        params = {"W": (spec.out_channels, spec.in_channels, k, k)}
+    elif spec.kind == "relu":
+        return shape, {}
+    elif spec.kind == "flatten":
+        return (math.prod(shape),), {}
     else:
-        return {}
+        raise ShapeError(f"unknown layer kind {spec.kind!r}")
     if spec.bias:
-        shapes["b"] = (n_out,)
-    return shapes
+        params["b"] = out[:1]
+    return out, params
 
 
 def _layout(params):
@@ -133,18 +128,17 @@ class Network:
             raise ValueError(f"aggregation must be 'mean' or 'sum', got {self.aggregation!r}")
         self.specs = list(self.specs)
         self.input_shape = shape = tuple(int(d) for d in self.input_shape)
-        self.layer_shapes = []
-        for spec in self.specs:
-            shape = _propagate_shape(spec, shape)
+        self.layer_shapes, expected = [], {}
+        for idx, spec in enumerate(self.specs):
+            shape, owned = _shapes(spec, shape)
             self.layer_shapes.append(shape)
+            if owned:
+                expected[idx] = owned
         if len(shape) != 1:
             raise ShapeError(f"network must end in a class-score vector, got shape {shape}")
-        expected = {idx: _param_shapes(spec) for idx, spec in enumerate(self.specs)
-                    if spec.kind in PARAM_KINDS}
         if _layout(self.params) != expected:
             raise ShapeError(f"params {_layout(self.params)} do not match specs {expected}")
-        param_indices = sorted(expected)
-        self.depth_map = param_indices if self.include_output else param_indices[:-1]
+        self.depth_map = list(expected) if self.include_output else list(expected)[:-1]
 
     @property
     def n_layers(self):
@@ -163,15 +157,9 @@ class Network:
                     yield idx, name, self.params[idx][name]
 
     def weight_matrices(self):
-        """Per parameterized layer, the weights as a 2-D matrix.
-
-        Conv kernels are reshaped to (out_channels, in_channels*k*k).
-        """
-        mats = []
-        for idx in sorted(self.params):
-            w = self.params[idx]["W"]
-            mats.append(w if w.ndim == 2 else w.reshape(w.shape[0], -1))
-        return mats
+        """Per parameterized layer, the weights as a 2-D matrix: dense
+        weights as they are, conv kernels as (out_channels, in_channels*k*k)."""
+        return [p["W"].reshape(len(p["W"]), -1) for _, p in sorted(self.params.items())]
 
 
 def build_network(specs, init_seed, input_shape, aggregation="mean", include_output=False):
@@ -182,9 +170,9 @@ def build_network(specs, init_seed, input_shape, aggregation="mean", include_out
     bit-identical parameters.
     """
     rng = seeded_rng(init_seed, "init")
-    params = {}
+    params, shape = {}, tuple(input_shape)
     for idx, spec in enumerate(specs):
-        shapes = _param_shapes(spec)
+        shape, shapes = _shapes(spec, shape)
         if shapes:
             w = shapes["W"]
             # fan_in + fan_out: the two leading axes times the kernel area
@@ -232,18 +220,15 @@ def _aggregate(pre, mode):
     return flat.mean(axis=1) if mode == "mean" else flat.sum(axis=1)
 
 
-def _apply_layer(net, idx, a, params=None):
-    """Layer idx applied to the batch a: (output, backward cache).
-
-    params replaces net.params (same layout); this is the only place
-    that dispatches the forward computation on the layer kind.
-    """
+def _apply_layer(net, idx, a):
+    """Layer idx applied to the batch a: (output, backward cache). This is
+    the only place that dispatches the forward computation on the layer kind."""
     spec = net.specs[idx]
     if spec.kind == "relu":
         return np.maximum(a, 0.0), a
     if spec.kind == "flatten":
         return a.reshape(a.shape[0], -1), a.shape
-    p = (net.params if params is None else params)[idx]
+    p = net.params[idx]
     if spec.kind == "dense":
         out = a @ p["W"]
         return (out + p["b"] if spec.bias else out), a
@@ -256,7 +241,7 @@ def _apply_layer(net, idx, a, params=None):
     return out, (cols, a.shape, oh, ow)
 
 
-def _walk(net, batch, params=None):
+def _walk(net, batch):
     """The layer walk: checks the batch against the network input, then
     yields (layer index, output, backward cache) for every layer in order."""
     a = np.asarray(batch, dtype=np.float64)
@@ -266,7 +251,7 @@ def _walk(net, batch, params=None):
         raise ShapeError(f"batch shape {tuple(a.shape[1:])} does not match "
                          f"network input {net.input_shape}")
     for idx in range(len(net.specs)):
-        a, cache = _apply_layer(net, idx, a, params)
+        a, cache = _apply_layer(net, idx, a)
         yield idx, a, cache
 
 

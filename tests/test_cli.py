@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 import re
+import struct
 import subprocess
 import sys
 
@@ -790,6 +791,47 @@ def test_suite_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
     assert initializers == [malloc_policy]     # so spawn and forkserver workers get it too
     summary = json.loads(pathlib.Path(suite["output_root"], "suite_summary.json").read_bytes())
     assert [c["status"] for c in summary["cells"]] == ["ok"] * 4
+
+
+def test_suite_log_takes_the_line_of_every_in_process_cell(tmp_path, capsys):
+    from cnalab.harness import run_suite
+    _, suite = suite_config(tmp_path)
+    lines = []
+    run_suite(suite, log=lines.append)
+    assert capsys.readouterr().out == ""
+    assert sum(line.startswith("[train]") for line in lines) == 4
+
+
+@pytest.mark.parametrize("case, code, message", [
+    ("idx-shorter-than-4-bytes", 3, "too short for an IDX header"),
+    ("idx-dimension-table-cut-off", 3, "truncated dimension table"),
+    ("mnist-without-paths", 2, "dataset config missing train images path"),
+    ("test-size-below-curve-bins", 3, "cannot fill 5 bins from 3 datapoints"),
+    ("landscape-resolution-1", 3, "landscape resolution must be >= 2"),
+])
+def test_edge_errors_exit_with_their_code_and_no_traceback(tmp_path, capsys, case, code,
+                                                           message):
+    idx = tmp_path / "head.idx"
+    idx.write_bytes(b"\x00\x00\x08" if case == "idx-shorter-than-4-bytes"
+                    else struct.pack(">II", 0x803, 5))
+    paths = dict.fromkeys(("train_images", "train_labels", "test_images", "test_labels"),
+                          str(idx))
+    overrides = {
+        "mnist-without-paths": {"dataset": {"name": "mnist"}},
+        "test-size-below-curve-bins": {"dataset": {"name": "synthetic-digits",
+                                                   "train_size": 150, "test_size": 3}},
+        "landscape-resolution-1": {"epochs": 2, "record_trajectory": True, "probe_size": 16},
+    }.get(case, {"dataset": {"name": "mnist", **paths}})
+    cfg_path, cfg = toy_config(tmp_path, **overrides)
+    argv = ["train", "--config", str(cfg_path)]
+    if case == "landscape-resolution-1":
+        assert main(argv) == 0
+        argv = ["landscape", "--run", cfg["output_dir"], "--resolution", "1"]
+        capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error:" if code == 2 else "data error:") and message in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

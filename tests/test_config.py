@@ -74,6 +74,10 @@ MALFORMED = [
     ("train", "metrics", {"entropy_bins": [3]}),
     ("train", "metrics", {"margin_percentile": 150}),
     ("train", "optimizer.lr", "fast"),
+    ("train", "optimizer.lr", float("nan")),
+    ("train", "optimizer.lr", float("inf")),
+    ("train", "optimizer.batch_size", 0),
+    ("train", "epochs", True),
     ("train", "init_seed", -1),
     ("train", "shuffle_seed", -1),
     ("train", "dataset.seed", -1),
