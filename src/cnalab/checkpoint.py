@@ -72,8 +72,10 @@ def save_checkpoint(net, opt_config, opt_state, epoch, path, seeds=None):
         fh.writelines(np.ascontiguousarray(arr, dtype="<f8") for arr in arrays)
 
 
-def load_checkpoint(path):
-    """Read a .cnac file; a malformed or inconsistent one raises FormatError."""
+def load_checkpoint(path, moments=True):
+    """Read a .cnac file; a malformed or inconsistent one raises FormatError.
+    With moments=False only the parameters are read: the Adam moment blocks
+    are checked (size and layout) and skipped, and opt_state is None."""
     with open(path, "rb") as fh:
         left = os.fstat(fh.fileno()).st_size - 12
         head = fh.read(12)
@@ -86,16 +88,18 @@ def load_checkpoint(path):
             raise FormatError(f"{path}: truncated metadata")
         try:
             meta = json.loads(fh.read(meta_len).decode("utf-8"))
-            return _from_meta(meta, fh, left - meta_len)
+            return _from_meta(meta, fh, left - meta_len, moments)
         except (ValueError, KeyError, TypeError, AttributeError, ArithmeticError,
                 CnaLabError) as exc:
             raise FormatError(f"{path}: bad checkpoint ({type(exc).__name__}: {exc})") from exc
 
 
-def _from_meta(meta, fh, left):
+def _from_meta(meta, fh, left, moments):
     """Checkpoint from parsed metadata and the file at its first block, left
-    bytes before its end; a block is read once its size fits in them. Any
-    inconsistency raises; the caller reports it as a FormatError."""
+    bytes before its end; a block is read (or, for a moment block when not
+    moments, seeked past, its layout kept as a zero-byte view) once its size
+    fits in them. Any inconsistency raises; the caller reports it as a
+    FormatError."""
     if not all(type(meta[key]) is int and meta[key] >= 0 for key in ("epoch", "opt_t")):
         raise FormatError("epoch and optimizer step must be non-negative integers")
     params = {}
@@ -109,9 +113,13 @@ def _from_meta(meta, fh, left):
         prefix, idx, name = block["name"].split("/")
         if prefix not in tables:
             raise FormatError(f"unknown block prefix {prefix!r}")
-        arr = tables[prefix].setdefault(int(idx), {})[name] = np.empty(shape, dtype="<f8")
-        if fh.readinto(arr) != count * 8:
-            raise FormatError(f"short read of parameter block {block['name']}")
+        if moments or prefix == "param":
+            arr = tables[prefix].setdefault(int(idx), {})[name] = np.empty(shape, dtype="<f8")
+            if fh.readinto(arr) != count * 8:
+                raise FormatError(f"short read of parameter block {block['name']}")
+        else:
+            tables[prefix].setdefault(int(idx), {})[name] = np.broadcast_to(0.0, shape)
+            fh.seek(count * 8, os.SEEK_CUR)
         left -= count * 8
     if left:
         raise FormatError(f"{left} trailing bytes after last block")
@@ -122,4 +130,5 @@ def _from_meta(meta, fh, left):
                   input_shape=meta["input_shape"], aggregation=meta["aggregation"],
                   include_output=meta["include_output"], init_seed=meta["init_seed"])
     return Checkpoint(net=net, opt_config=OptConfig(**meta["opt"]),
-                      opt_state=state, epoch=meta["epoch"], seeds=meta.get("seeds", {}))
+                      opt_state=state if moments else None, epoch=meta["epoch"],
+                      seeds=meta.get("seeds", {}))

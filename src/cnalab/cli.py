@@ -69,7 +69,7 @@ def cmd_metrics(args):
         spec = json.loads(args.data)
     except json.JSONDecodeError:
         spec = read_json(args.data)
-    net = load_checkpoint(args.checkpoint).net
+    net = load_checkpoint(args.checkpoint, moments=False).net
     train_ds, test_ds = resolve_datasets(spec)
     given = spec.get("metrics") or {}
     opts = MetricOptions.from_dict(given)

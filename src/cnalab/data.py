@@ -2,8 +2,8 @@
 
 Sources:
   * IDX files (the MNIST family container: big-endian u32 magic and
-    dimensions, u8 payload). Loading scales pixels to [0, 1]; writing
-    undoes the scaling, so fixture round trips are byte-exact.
+    dimensions, u8 payload). Loading keeps the payload as 8-bit codes;
+    writing stores codes unchanged, so fixture round trips are byte-exact.
   * Gaussian noise images (N(0,1), 3x32x32, 10 random classes) for
     memorization experiments.
   * Two deterministic rendered corpora, synthetic-digits and
@@ -14,10 +14,17 @@ Sources:
 Label corruption shuffles a uniformly chosen fraction of labels by a
 cyclic permutation within the chosen subset, preserving the label
 multiset. Test labels are never corrupted.
+
+8-bit images (IDX files and the rendered corpora) are kept as one
+read-only uint8 array of codes: code k stands for the pixel k / 255, and
+decode() is the one place that division is made. Every engine function
+that takes inputs reads a uint8 array as codes and decodes only the rows
+it uses; any other array holds float64 pixels.
 """
 
 import functools
 import struct
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,18 +36,55 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 
+def as_inputs(x):
+    """x as the engine takes inputs: a uint8 array of codes as it is, anything
+    else as float64 (the array itself when it already is)."""
+    x = np.asarray(x)
+    return x if x.dtype == np.uint8 else x.astype(np.float64, copy=False)
+
+
+def decode(x):
+    """The float64 pixels of x: codes / 255.0 for uint8 codes (the division that
+    loading and rendering have always made, so the same bits), else x itself."""
+    return x / 255.0 if x.dtype == np.uint8 else x
+
+
+_DECODED = {}   # id(codes) -> weakref to their decode, dropped with the codes
+
+
+def _shared_decode(codes):
+    """decode(codes), read-only and one array while any caller holds it."""
+    ref = _DECODED.get(id(codes))
+    floats = ref() if ref is not None else None
+    if floats is None:
+        if ref is None:
+            weakref.finalize(codes, _DECODED.pop, id(codes), None)
+        floats = decode(codes)
+        floats.flags.writeable = False
+        _DECODED[id(codes)] = weakref.ref(floats)
+    return floats
+
+
 @dataclass
 class LabeledDataset:
-    inputs: np.ndarray   # (N, features) or (N, c, h, w), float64
+    """Inputs, labels and provenance of one dataset. pixels holds the inputs
+    as stored, float64 or read-only uint8 codes; the engine decodes only the
+    rows it reads. inputs is the float64 array for callers: pixels itself, or
+    the codes' read-only decode, made on first read and shared by every
+    dataset over the same codes while a caller holds it."""
+
+    pixels: np.ndarray   # (N, features) or (N, c, h, w): float64, or uint8 codes
     labels: np.ndarray   # (N,) int64 in [0, classes)
     classes: int
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
+        self.pixels = as_inputs(self.pixels)
+        if self.pixels.dtype == np.uint8:
+            self.pixels.flags.writeable = False
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.inputs.shape[0] != self.labels.shape[0]:
-            raise DataError(f"{self.inputs.shape[0]} inputs vs {self.labels.shape[0]} labels")
+        if self.pixels.shape[0] != self.labels.shape[0]:
+            raise DataError(f"{self.pixels.shape[0]} inputs vs {self.labels.shape[0]} labels")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.classes):
             raise DataError(f"labels must lie in [0, {self.classes})")
         frac = self.provenance.get("corruption_fraction", 0.0)
@@ -48,13 +92,22 @@ class LabeledDataset:
             raise DataError(f"corruption fraction {frac} outside [0, 0.5]")
 
     def __len__(self):
-        return self.inputs.shape[0]
+        return self.pixels.shape[0]
+
+    @property
+    def inputs(self):
+        """The inputs as a float64 array (see the class docstring)."""
+        return _shared_decode(self.pixels) if self.pixels.dtype == np.uint8 else self.pixels
+
+    def rows(self, indices):
+        """The float64 inputs at indices, decoding only those rows: bitwise inputs[indices]."""
+        return decode(self.pixels[indices])
 
     def subset(self, indices, provenance_update=None):
         """The rows at indices: copies for an index array or range, views for a slice."""
         prov = dict(self.provenance)
         prov.update(provenance_update or {})
-        return LabeledDataset(self.inputs[indices], self.labels[indices], self.classes, prov)
+        return LabeledDataset(self.pixels[indices], self.labels[indices], self.classes, prov)
 
 
 def _read_idx(path, expected_magic):
@@ -80,7 +133,8 @@ def _read_idx(path, expected_magic):
 def load_idx(images_path, labels_path):
     """Load an IDX image/label pair as a LabeledDataset.
 
-    Pixels are scaled to [0, 1]; images become (N, 1, h, w).
+    The images become (N, 1, h, w) read-only uint8 codes, the file's
+    bytes unchanged: 1 byte per pixel, each read as code / 255 in [0, 1].
     """
     images = _read_idx(images_path, IDX_IMAGES_MAGIC)
     labels = _read_idx(labels_path, IDX_LABELS_MAGIC)
@@ -88,19 +142,28 @@ def load_idx(images_path, labels_path):
         raise FormatError(f"{images_path}: {images.shape[0]} images vs "
                           f"{labels.shape[0]} labels in {labels_path}")
     n, h, w = images.shape
-    inputs = images.astype(np.float64).reshape(n, 1, h, w) / 255.0
     classes = max(10, int(labels.max()) + 1) if n else 10
-    return LabeledDataset(inputs, labels.astype(np.int64), classes,
+    return LabeledDataset(images.reshape(n, 1, h, w), labels.astype(np.int64), classes,
                           {"source": str(images_path)})
 
 
 def write_idx(ds, images_path, labels_path):
-    """Write a dataset of [0,1] single-channel images back to IDX files."""
-    arr = ds.inputs
+    """Write a dataset of single-channel images to IDX files: codes unchanged,
+    float pixels in [0, 1] as the codes round(255 x). A pixel outside [0, 1]
+    or not finite, or a label outside 0..255, raises DataError."""
+    arr = ds.pixels
     if arr.ndim != 4 or arr.shape[1] != 1:
         raise DataError("write_idx needs (N, 1, h, w) inputs")
+    if arr.dtype != np.uint8:
+        inside = ((arr >= 0.0) & (arr <= 1.0)).all(axis=(1, 2, 3))
+        if not inside.all():
+            raise DataError(f"write_idx: image {int(inside.argmin())} has a pixel "
+                            "outside [0, 1] or not finite")
+        arr = np.round(arr * 255.0).astype(np.uint8)
+    if ds.labels.size and ds.labels.max() > 255:
+        raise DataError(f"write_idx: label {int(ds.labels.max())} does not fit in a byte")
     n, _, h, w = arr.shape
-    pixels = np.round(arr * 255.0).astype(np.uint8).reshape(n, h, w)
+    pixels = arr.reshape(n, h, w)
     with open(images_path, "wb") as fh:
         fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, h, w))
         fh.write(pixels.tobytes())
@@ -125,7 +188,7 @@ def corrupt_labels(ds, fraction, seed):
     The participating indices are chosen uniformly without replacement;
     their labels rotate by one position along the chosen order, so the
     label multiset is preserved. fraction must lie in [0, 0.5]. Only the
-    labels are copied: the result shares the inputs array of ds.
+    labels are copied: the result shares the pixels array of ds.
     """
     if not 0.0 <= fraction <= 0.5:
         raise DataError(f"corruption fraction {fraction} outside [0, 0.5]")
@@ -137,7 +200,7 @@ def corrupt_labels(ds, fraction, seed):
         labels[idx] = labels[np.roll(idx, -1)]
     prov = dict(ds.provenance)
     prov.update({"corruption_fraction": float(fraction), "corruption_seed": int(seed)})
-    return LabeledDataset(ds.inputs, labels, ds.classes, prov)
+    return LabeledDataset(ds.pixels, labels, ds.classes, prov)
 
 
 def split(ds, train_fraction, seed):
@@ -289,16 +352,18 @@ _CHUNK = 16
 
 
 def _render_corpus(n, seed, stream, glyphs, default_thickness, source):
-    """n glyph images, each warped by one 2x2 matrix. Each scalar uniform(lo, hi)
+    """n glyph images as 8-bit codes, each warped by one 2x2 matrix; a chunk of
+    images is drawn in float64 and rounded to codes. Each scalar uniform(lo, hi)
     draw is written as numpy computes it, lo + (hi - lo) * random(): the same
     values without Generator.uniform's per-call overhead."""
     rng = seeded_rng(seed, "data", counter=stream)
     labels = seeded_rng(seed, "labels", counter=stream).integers(0, 10, size=n)
-    images = np.empty((n, 1, _SIZE, _SIZE))
-    pixels = images.reshape(n, _SIZE * _SIZE)
-    sigma = np.empty(n)
+    codes = np.empty((n, 1, _SIZE, _SIZE), dtype=np.uint8)
+    pixels = np.empty((_CHUNK, _SIZE * _SIZE))      # one chunk, in float64
+    sigma = np.empty(_CHUNK)
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
+        chunk = pixels[:stop - start]
         strokes = []
         for i in range(start, stop):
             hardness = rng.random()           # drives both warp strength and noise
@@ -306,22 +371,20 @@ def _render_corpus(n, seed, stream, glyphs, default_thickness, source):
             scale = 1.0 + (-1 + 2 * rng.random()) * 0.18 * hardness
             shear = (-1 + 2 * rng.random()) * 0.35 * hardness
             shift = rng.uniform(-0.07, 0.07, size=2)
-            sigma[i] = 0.02 + 0.28 * hardness
+            sigma[i - start] = 0.02 + 0.28 * hardness
             c, s = np.cos(rot), np.sin(rot)
             warp = (np.array([[c, -s], [s, c]]) @ np.array([[1.0, shear], [0.0, 1.0]]) * scale).T
             for entry in glyphs[labels[i]]:
                 segs, thickness = entry if isinstance(entry, tuple) else (
                     entry, default_thickness * (0.8 + (1.25 - 0.8) * rng.random()))
                 strokes.append((i - start, (segs - 0.5) @ warp + 0.5 + shift, thickness))
-            rng.standard_normal(out=pixels[i])      # the noise, drawn in place
-        chunk = pixels[start:stop]
-        chunk *= sigma[start:stop, None]
+            rng.standard_normal(out=chunk[i - start])   # the noise, drawn in place
+        chunk *= sigma[:stop - start, None]
         chunk += _strokes_ink(strokes, stop - start)
         np.clip(chunk, 0.0, 1.0, out=chunk)
         chunk *= 255.0
-        np.round(chunk, out=chunk)
-        chunk /= 255.0
-    return LabeledDataset(images, labels, 10,
+        codes.reshape(n, -1)[start:stop] = np.round(chunk, out=chunk)     # whole: exact
+    return LabeledDataset(codes, labels, 10,
                           {"source": source, "seed": int(seed), "stream": int(stream)})
 
 
@@ -335,7 +398,6 @@ _CORPORA = {"synthetic-digits": (_digit_strokes, 0.045),
 def _cached_corpus(source, n, seed, stream):
     strokes, thickness = _CORPORA[source]
     ds = _render_corpus(n, seed, stream, strokes(), thickness, source)
-    ds.inputs.flags.writeable = False
     ds.labels.flags.writeable = False
     return ds
 
@@ -344,7 +406,7 @@ def _synthetic(source, n, seed, stream):
     if n < 1:
         raise DataError(f"{source} needs n >= 1")
     ds = _cached_corpus(source, int(n), int(seed), int(stream))
-    return LabeledDataset(ds.inputs, ds.labels, ds.classes, dict(ds.provenance))
+    return LabeledDataset(ds.pixels, ds.labels, ds.classes, dict(ds.provenance))
 
 
 def synthetic_digits(n, seed, stream=0):

@@ -110,22 +110,22 @@ def run_training(cfg, log=print):
         log(f"[train] resuming {cfg.output_dir} from epoch {start_epoch}")
         _keep_only(cfg, name)    # what a crash before the last prune left
     else:
-        specs = build_arch(cfg.arch, train_ds.inputs.shape[1:], train_ds.classes)
-        net = build_network(specs, cfg.init_seed, train_ds.inputs.shape[1:],
+        specs = build_arch(cfg.arch, train_ds.pixels.shape[1:], train_ds.classes)
+        net = build_network(specs, cfg.init_seed, train_ds.pixels.shape[1:],
                             aggregation=opts.aggregation,
                             include_output=opts.include_output)
         opt_state = init_opt_state(net, cfg.optimizer)
         start_epoch = 0
 
-    train_alphas = entropy_vector(train_ds.inputs, opts.entropy)
-    test_alphas = entropy_vector(test_ds.inputs, opts.entropy)
+    train_alphas = entropy_vector(train_ds.pixels, opts.entropy)
+    test_alphas = entropy_vector(test_ds.pixels, opts.entropy)
     bins = complexity_bins(test_alphas, CURVE_BINS)
 
     batches_per_epoch = -(-len(train_ds) // cfg.optimizer.batch_size)
     trajectory = on_batch = None
     if cfg.record_trajectory:
         probe_idx = _select_probe(len(test_ds), cfg.probe_size, cfg.probe_seed)
-        probe = test_ds.inputs[probe_idx]
+        probe = test_ds.rows(probe_idx)
         saved, kept = _load_trajectory(cfg.output_dir)[0], start_epoch * batches_per_epoch
         trajectory = Trajectory([s for s in saved.samples if s.step < kept] if saved else [])
 
@@ -141,8 +141,8 @@ def run_training(cfg, log=print):
                                     cfg.shuffle_seed, epoch, on_batch=on_batch)
 
         if epoch % cfg.snapshot_interval == 0 or epoch == cfg.epochs:
-            train_pass = trace_over_dataset(net, train_ds.inputs)
-            test_pass = trace_over_dataset(net, test_ds.inputs)
+            train_pass = trace_over_dataset(net, train_ds.pixels)
+            test_pass = trace_over_dataset(net, test_ds.pixels)
             train_acc = score(train_pass[1], train_ds.labels)[0]
             test_acc, test_loss, flags = score(test_pass[1], test_ds.labels)
             metrics = gap_metric_set(net, train_ds, test_ds, opts.entropy,

@@ -13,8 +13,9 @@ of all margins. A confidently correct classifier keeps its full CNA; a
 net misclassifying its training data is pulled to zero.
 
 Alpha has one estimator, bitwise equal to np.histogram of each row; a
-non-finite input raises DataError. Vectors of read-only corpora are
-memoised per process.
+non-finite input raises DataError. 8-bit codes (see data) give the
+entropies of their decode. Vectors of read-only corpora are memoised per
+process.
 """
 
 import collections
@@ -25,6 +26,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
+from .data import as_inputs, decode
 from .errors import ConvergenceError, DataError, UndefinedCorrelationError
 from .nn import _walk
 from .optim import trace_over_dataset
@@ -59,7 +61,7 @@ def entropy(x, cfg=EntropyConfig()):
     a bin; per-datapoint mode bins over [min(x), max(x)]. Empty bins
     contribute zero. Result lies in [0, log2(bins)].
     """
-    return float(_entropies(np.asarray(x, dtype=np.float64).reshape(1, -1), cfg)[0])
+    return float(_entropies(as_inputs(x).reshape(1, -1), cfg)[0])
 
 
 _MEMO = collections.OrderedDict()   # (id(inputs), cfg) -> (weakref(inputs), vector)
@@ -68,9 +70,11 @@ _BLOCK = 1 << 16                    # values per estimator block: 512 KB tempora
 
 
 def entropy_vector(inputs, cfg=EntropyConfig()):
-    """Per-datapoint entropy over a dataset's input tensor, memoised per
-    process for read-only arrays that own their data; returns a copy."""
-    inputs = np.asarray(inputs, dtype=np.float64)
+    """Per-datapoint entropy over a dataset's input tensor: float64 values,
+    or uint8 codes, whose entropies are those of their decode (data.decode).
+    Memoised per process for read-only arrays that own their data; returns
+    a copy."""
+    inputs = as_inputs(inputs)
     key = (id(inputs), cfg)
     memo = not inputs.flags.writeable and inputs.flags.owndata
     if memo and key in _MEMO and _MEMO[key][0]() is inputs:
@@ -86,35 +90,24 @@ def entropy_vector(inputs, cfg=EntropyConfig()):
 
 def _entropies(rows, cfg):
     """Entropy of each row of an (N, F) array, bitwise equal to entropy from
-    np.histogram of the row: a block of rows takes its bin index arithmetic
-    and one bincount, but -(p * log2 p).sum() stays per row, as numpy's
-    pairwise summation depends on the length summed."""
+    np.histogram of the row (of its decode, for codes): a block of rows takes
+    its bin indices (_bin_indices) and one bincount, but -(p * log2 p).sum()
+    stays per row, as numpy's pairwise summation depends on the length summed.
+    In fixed-range mode codes look their bins up in a table, _bin_indices of
+    the 256 decoded codes; per-datapoint ranges decode each block."""
     n, m = rows.shape
     if n and not m:
         raise DataError("entropy needs at least one element")
     out, bins, per_block = np.zeros(n), cfg.bins, max(1, _BLOCK // max(m, 1))
+    table = None
+    if rows.dtype == np.uint8 and not cfg.per_datapoint:
+        table = _bin_indices(decode(np.arange(256, dtype=np.uint8))[None], cfg, 0)[0][0]
     for start in range(0, n, per_block):
         values = rows[start:start + per_block]
-        finite = np.isfinite(values).all(axis=1)
-        if not finite.all():
-            raise DataError(f"entropy input row {start + int(finite.argmin())} is not finite")
-        if cfg.per_datapoint:           # a constant row keeps entropy 0
-            lo, hi = values.min(axis=1, keepdims=True), values.max(axis=1, keepdims=True)
-            vary = (lo < hi)[:, 0]
-            values, lo, hi = values[vary], lo[vary], hi[vary]
+        if table is None:
+            idx, vary = _bin_indices(decode(values), cfg, start)
         else:
-            lo, hi, vary = cfg.lo, cfg.hi, slice(None)
-            values = np.clip(values, lo, hi)
-        width = (hi - lo) / bins
-        edges = np.arange(bins + 1.0) * width + lo      # np.linspace's edges
-        edges[..., -1:] = hi
-        if (edges[..., :-1] >= edges[..., 1:]).any():   # np.histogram refuses these
-            raise DataError(f"entropy range too narrow for {bins} bins")
-        idx = ((values - lo) / (hi - lo) * bins).astype(np.intp)
-        np.minimum(idx, bins - 1, out=idx)              # the last bin is closed
-        # edges[k] = k * width + lo for every k < bins, the only edges compared here
-        idx -= values < idx * width + lo
-        idx += (values >= (idx + 1) * width + lo) & (idx != bins - 1)
+            idx, vary = table[values], slice(None)
         idx += np.arange(len(idx))[:, None] * bins      # row r counts at r * bins
         counts = np.bincount(idx.ravel(), minlength=len(idx) * bins).reshape(-1, bins)
         full = counts > 0
@@ -123,6 +116,36 @@ def _entropies(rows, cfg):
         out[start:start + per_block][vary] = [-terms[end - k:end].sum()
                                               for end, k in zip(np.cumsum(lengths), lengths)]
     return out
+
+
+def _bin_indices(values, cfg, first_row):
+    """(bin index of each value of the rows that vary, those rows): np.histogram's
+    equal-width arithmetic over a block of rows, the first of them first_row.
+    That is clip (fixed range) or row min/max (per-datapoint), the truncated
+    scaled offset, the one-bin corrections against the np.linspace edges, and
+    the closed last bin. A constant row does not vary and keeps entropy 0."""
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise DataError(f"entropy input row {first_row + int(finite.argmin())} is not finite")
+    bins = cfg.bins
+    if cfg.per_datapoint:
+        lo, hi = values.min(axis=1, keepdims=True), values.max(axis=1, keepdims=True)
+        vary = (lo < hi)[:, 0]
+        values, lo, hi = values[vary], lo[vary], hi[vary]
+    else:
+        lo, hi, vary = cfg.lo, cfg.hi, slice(None)
+        values = np.clip(values, lo, hi)
+    width = (hi - lo) / bins
+    edges = np.arange(bins + 1.0) * width + lo      # np.linspace's edges
+    edges[..., -1:] = hi
+    if (edges[..., :-1] >= edges[..., 1:]).any():   # np.histogram refuses these
+        raise DataError(f"entropy range too narrow for {bins} bins")
+    idx = ((values - lo) / (hi - lo) * bins).astype(np.intp)
+    np.minimum(idx, bins - 1, out=idx)              # the last bin is closed
+    # edges[k] = k * width + lo for every k < bins, the only edges compared here
+    idx -= values < idx * width + lo
+    idx += (values >= (idx + 1) * width + lo) & (idx != bins - 1)
+    return idx, vary
 
 
 def slope(z_row):
@@ -216,8 +239,8 @@ def margin_factor(margins, percentile=10.0):
 
 def cna_margin(net, train_ds, cfg=EntropyConfig(), percentile=10.0):
     """CNA on the training set scaled by the clamped normalized margin."""
-    z, logits = trace_over_dataset(net, train_ds.inputs)
-    return _margin_scaled(_cna(entropy_vector(train_ds.inputs, cfg), z),
+    z, logits = trace_over_dataset(net, train_ds.pixels)
+    return _margin_scaled(_cna(entropy_vector(train_ds.pixels, cfg), z),
                           margin_vector(logits, train_ds.labels), percentile)
 
 
@@ -340,9 +363,9 @@ def gap_metric_set(net, train_ds, test_ds, cfg=EntropyConfig(), percentile=10.0,
     test_alphas and train_pass/test_pass; each is computed when absent.
     """
     if train_alphas is None:
-        train_alphas = entropy_vector(train_ds.inputs, cfg)
+        train_alphas = entropy_vector(train_ds.pixels, cfg)
     if train_pass is None:
-        train_pass = trace_over_dataset(net, train_ds.inputs)
+        train_pass = trace_over_dataset(net, train_ds.pixels)
     margins = margin_vector(train_pass[1], train_ds.labels)
     out = GapMetricSet(**_norms(net, float(np.percentile(margins, percentile))))
     base = _or_undefined(_cna, train_alphas, train_pass[0])
@@ -352,8 +375,8 @@ def gap_metric_set(net, train_ds, test_ds, cfg=EntropyConfig(), percentile=10.0,
         out.cna = base
     elif cna_split == "test":
         if test_alphas is None:
-            test_alphas = entropy_vector(test_ds.inputs, cfg)
+            test_alphas = entropy_vector(test_ds.pixels, cfg)
         if test_pass is None:
-            test_pass = trace_over_dataset(net, test_ds.inputs)
+            test_pass = trace_over_dataset(net, test_ds.pixels)
         out.cna = _or_undefined(_cna, test_alphas, test_pass[0])
     return out

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import decode
 from .errors import DataError
 from .nn import check_finite, cross_entropy, forward, loss_and_gradients
 from .rng import seeded_rng
@@ -31,6 +32,12 @@ class OptConfig:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        for name, ok, rule in (("lr", 0.0 <= self.lr < math.inf, "finite and >= 0"),
+                               ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
+                               ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
+                               ("eps", 0.0 < self.eps < math.inf, "finite and > 0")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -114,7 +121,7 @@ def train_epoch(net, train_ds, cfg, state, shuffle_seed, epoch, on_batch=None):
     correct = 0
     for step, batch_idx in enumerate(iter_batches(n, cfg.batch_size, order)):
         yb = train_ds.labels[batch_idx]
-        loss, grads, logits = loss_and_gradients(net, train_ds.inputs[batch_idx], yb)
+        loss, grads, logits = loss_and_gradients(net, train_ds.rows(batch_idx), yb)
         apply_update(net, grads, cfg, state)
         loss_sum += loss * len(batch_idx)
         correct += int(np.sum(np.argmax(logits, axis=1) == yb))
@@ -127,11 +134,12 @@ def train_epoch(net, train_ds, cfg, state, shuffle_seed, epoch, on_batch=None):
 def trace_over_dataset(net, inputs):
     """The batched evaluation pass: recorded (N, L) pre-activation aggregates
     and logits, in a fixed batch order so the result is batch-size independent.
-    Each batch is a row-slice view of inputs, never a copy."""
+    Each batch is a row-slice view of inputs, never a copy; uint8 codes are
+    decoded one such slice at a time."""
     n = inputs.shape[0]
     if n == 0:
         raise DataError("cannot evaluate an empty dataset")
-    passes = [forward(net, inputs[start:start + EVAL_BATCH], record=True)
+    passes = [forward(net, decode(inputs[start:start + EVAL_BATCH]), record=True)
               for start in range(0, n, EVAL_BATCH)]
     return np.vstack([trace.z for _, trace in passes]), np.vstack([lg for lg, _ in passes])
 
@@ -155,4 +163,4 @@ def score(logits, labels):
 
 def evaluate(net, ds):
     """Accuracy, mean loss, and error flags of ds: score() of one pass."""
-    return score(trace_over_dataset(net, ds.inputs)[1], ds.labels)
+    return score(trace_over_dataset(net, ds.pixels)[1], ds.labels)

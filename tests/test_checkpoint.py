@@ -258,3 +258,83 @@ def test_a_file_cut_short_while_read_is_a_format_error(tmp_path, monkeypatch):
     monkeypatch.setattr(checkpoint.os, "fstat", lambda fd: SimpleNamespace(st_size=size))
     with pytest.raises(FormatError, match="short read"):
         load_checkpoint(path)
+
+
+def test_a_parameters_only_load_skips_the_moments(tmp_path):
+    import tracemalloc
+    specs = [nn.dense(3072, 256), nn.relu(), nn.dense(256, 256), nn.relu(), nn.dense(256, 10)]
+    net = nn.build_network(specs, 0, (3072,))
+    cfg = OptConfig(kind="adam", lr=0.001)
+    path = tmp_path / "wide.cnac"
+    save_checkpoint(net, cfg, init_opt_state(net, cfg), 4, path, seeds={"init": 0})
+    tracemalloc.start()
+    try:
+        ck = load_checkpoint(path, moments=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    params = sum(arr.nbytes for _, _, arr in net.param_items())
+    assert path.stat().st_size > 3 * params
+    assert peak < 1.1 * params
+    assert ck.opt_state is None and (ck.epoch, ck.seeds, ck.opt_config) == (4, {"init": 0}, cfg)
+    for (_, _, a), (_, _, b) in zip(net.param_items(), ck.net.param_items()):
+        assert a.tobytes() == b.tobytes()
+
+
+def cut_last_bytes(path):
+    path.write_bytes(path.read_bytes()[:-17])
+
+
+def append_bytes(path):
+    path.write_bytes(path.read_bytes() + b"xx")
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (cut_last_bytes, "truncated parameter block adam_v/5/b"),
+    (append_bytes, "trailing"),
+    (grow_metadata_length, "truncated metadata"),
+    (lambda path: rewrite_metadata(path, lambda meta: meta["blocks"][4].update(
+        name="adam_m/0/b")), "moment"),
+    (lambda path: rewrite_metadata(path, lambda meta: meta["blocks"][5].update(
+        shape=[2 ** 40])), "truncated parameter block adam_m/3/W"),
+    (lambda path: rewrite_metadata(path, lambda meta: meta["blocks"][4].update(
+        shape=[1, 2, 3, 3])), "moment"),
+    (lambda path: rewrite_metadata(path, lambda meta: meta["blocks"][0].update(
+        shape=[1, 2, 3, 3])), "do not match"),
+], ids=["truncated", "trailing", "metadata-length", "moment-name", "moment-oversized",
+        "moment-shape", "param-shape"])
+def test_a_parameters_only_load_rejects_what_a_full_load_rejects(tmp_path, corrupt, message):
+    _, net, cfg = bias_free_conv_setup()
+    path = tmp_path / "ck.cnac"
+    save_checkpoint(net, cfg, init_opt_state(net, cfg), 0, path)
+    corrupt(path)
+    for moments in (True, False):
+        with pytest.raises(FormatError, match=message):
+            load_checkpoint(path, moments=moments)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(edits=st.lists(st.tuples(st.integers(0, 2 ** 16), st.integers(0, 255)),
+                      min_size=1, max_size=4))
+def test_corrupt_metadata_fails_a_parameters_only_load_as_a_full_one(tmp_path_factory, edits):
+    directory = tmp_path_factory.getbasetemp()
+    raw = bytearray(fuzz_base(directory))
+    meta_len = int(np.frombuffer(raw[8:12], dtype="<u4")[0])
+    for pos, byte in edits:
+        raw[12 + pos % meta_len] = byte
+    path = directory / f"fuzz{next(_FUZZ_FILES)}.cnac"
+    path.write_bytes(bytes(raw))
+    try:
+        outcomes = []
+        for moments in (True, False):
+            try:
+                outcomes.append(load_checkpoint(path, moments=moments))
+            except FormatError:
+                outcomes.append(None)
+    finally:
+        path.unlink()
+    full, params_only = outcomes
+    assert (full is None) == (params_only is None)
+    if full is not None:
+        assert [a.tobytes() for _, _, a in full.net.param_items()] == \
+            [a.tobytes() for _, _, a in params_only.net.param_items()]

@@ -77,6 +77,12 @@ MALFORMED = [
     ("train", "optimizer.lr", float("nan")),
     ("train", "optimizer.lr", float("inf")),
     ("train", "optimizer.batch_size", 0),
+    ("train", "optimizer.lr", -1),
+    ("train", "optimizer.beta1", 1.5),
+    ("train", "optimizer.beta1", 1.0),
+    ("train", "optimizer.beta2", -1),
+    ("train", "optimizer.eps", 0),
+    ("train", "optimizer.eps", -1e-8),
     ("train", "epochs", True),
     ("train", "init_seed", -1),
     ("train", "shuffle_seed", -1),
@@ -105,6 +111,16 @@ def test_malformed_value_exits_2_without_traceback(tmp_path, capsys, command, pa
     assert err.startswith("config error:")
     assert "Traceback" not in err
     assert not os.path.exists(tmp_path / "run") and not os.path.exists(tmp_path / "suite")
+
+
+@pytest.mark.parametrize("field, value", [("lr", -1.0), ("beta1", 1.5), ("beta2", -1.0),
+                                          ("eps", 0.0)])
+def test_an_optimizer_value_out_of_range_is_named(field, value):
+    with pytest.raises(ConfigError, match=rf"optimizer: {field} must be"):
+        ExperimentConfig.from_dict(with_field(f"optimizer.{field}", value))
+    with pytest.raises(ValueError, match=field):
+        OptConfig(**{field: value})
+    assert OptConfig(kind="sgd", lr=0.0, beta1=0.0, beta2=0.0).lr == 0.0
 
 
 def test_unknown_optimizer_key_exits_2(tmp_path, capsys):

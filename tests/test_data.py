@@ -1,7 +1,9 @@
 """Dataset loading, synthesis, corruption, and split tests."""
 
+import gc
 import hashlib
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -400,3 +402,67 @@ def test_corrupted_suite_cell_shares_cached_inputs(fresh_corpus_cache):
     assert not np.array_equal(corrupted.labels, clean.labels)
     assert np.array_equal(clean.labels, labels_before)
     assert np.array_equal(synthetic_shapes(40, seed=9).labels, labels_before)
+
+
+# --- 8-bit codes -------------------------------------------------------------
+
+def coded_and_float_datasets(tmp_path):
+    """A rendered, an IDX and a gaussian dataset, by name."""
+    pixels = np.random.default_rng(8).integers(0, 256, size=(7, 5, 4), dtype=np.uint8)
+    return {"rendered": synthetic_digits(40, seed=3),
+            "idx": load_idx(*make_idx_fixture(tmp_path, pixels, [1, 2, 3, 4, 5, 6, 7])),
+            "gaussian": gaussian_noise_dataset(9, seed=2)}
+
+
+def test_rows_equal_the_float_inputs_bitwise(tmp_path, fresh_corpus_cache):
+    for name, ds in coded_and_float_datasets(tmp_path).items():
+        assert ds.pixels.dtype == (np.float64 if name == "gaussian" else np.uint8), name
+        assert ds.inputs.dtype == np.float64 and ds.inputs.shape == ds.pixels.shape
+        n = len(ds)
+        for idx in (np.arange(n), np.array([n - 1, 0, 2, 2]), slice(1, 4), []):
+            assert ds.rows(idx).dtype == np.float64
+            assert ds.rows(idx).tobytes() == ds.inputs[idx].tobytes(), name
+        want = ds.pixels if name == "gaussian" else ds.pixels / 255.0
+        assert ds.rows(np.arange(n)).tobytes() == want.tobytes()
+
+
+def test_codes_are_one_read_only_byte_per_pixel(tmp_path, fresh_corpus_cache):
+    rendered = synthetic_shapes(30, seed=5)
+    assert rendered.pixels.nbytes == 30 * 28 * 28
+    for ds in coded_and_float_datasets(tmp_path).values():
+        if ds.pixels.dtype == np.uint8:
+            assert not ds.pixels.flags.writeable
+            assert not ds.subset(np.array([2, 0])).pixels.flags.writeable
+    # the float copy is made for a caller only, and freed with the caller's reference
+    floats = weakref.ref(rendered.inputs)
+    gc.collect()
+    assert floats() is None
+
+
+def test_idx_loads_the_files_bytes_as_codes(tmp_path):
+    pixels = np.random.default_rng(1).integers(0, 256, size=(3, 4, 5), dtype=np.uint8)
+    ds = load_idx(*make_idx_fixture(tmp_path, pixels, [0, 9, 4]))
+    assert ds.pixels.shape == (3, 1, 4, 5)
+    assert ds.pixels.tobytes() == pixels.tobytes()
+
+
+def test_rendered_corpus_round_trips_through_idx_byte_exactly(tmp_path, fresh_corpus_cache):
+    ds = synthetic_digits(25, seed=4)
+    paths = tmp_path / "img.idx", tmp_path / "lab.idx"
+    write_idx(ds, *paths)
+    back = load_idx(*paths)
+    assert back.pixels.tobytes() == ds.pixels.tobytes()
+    assert back.inputs.tobytes() == ds.inputs.tobytes()
+    assert np.array_equal(back.labels, ds.labels)
+
+
+@pytest.mark.parametrize("pixel, label, message", [
+    (-0.1, 0, "outside"), (1.2, 0, "outside"), (np.nan, 0, "not finite"),
+    (np.inf, 0, "not finite"), (0.5, 300, "label 300"),
+], ids=["below-0", "above-1", "nan", "inf", "label-300"])
+def test_write_idx_refuses_what_a_byte_cannot_hold(tmp_path, pixel, label, message):
+    inputs = np.full((3, 1, 2, 2), 0.25)
+    inputs[1, 0, 1, 0] = pixel
+    ds = LabeledDataset(inputs, [0, label, 1], 301)
+    with pytest.raises(DataError, match=message):
+        write_idx(ds, tmp_path / "img.idx", tmp_path / "lab.idx")

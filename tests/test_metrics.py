@@ -778,3 +778,46 @@ def test_spectral_norm_equals_three_product_loop_bitwise():
     rank1 = np.outer(rng.standard_normal(30), rng.standard_normal(20))
     assert spectral_norm(rank1) == three_product_spectral_norm(rank1)
     assert spectral_norm(np.zeros((4, 6))) == three_product_spectral_norm(np.zeros((4, 6)))
+
+
+# --- entropy of 8-bit codes ------------------------------------------------------
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(0, 9), m=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1),
+       cfg=st.sampled_from([EntropyConfig(), EntropyConfig(bins=16, lo=0.2, hi=0.7),
+                            EntropyConfig(bins=37, lo=None, hi=None)]),
+       spread=st.sampled_from([1, 2, 5, 256]),
+       block=st.sampled_from([1, 7, 60, 1 << 16]))
+def test_entropy_of_codes_equals_the_float_estimator_on_their_decode(n, m, seed, cfg, spread,
+                                                                     block):
+    rng = np.random.default_rng(seed)
+    codes = (rng.integers(0, 256) + rng.integers(0, spread, size=(n, m))).astype(np.uint8)
+    floats = data.decode(codes)
+    with mock.patch.object(metrics, "_BLOCK", block):
+        got, want = entropy_vector(codes, cfg), entropy_vector(floats, cfg)
+    assert np.array_equal(bits(got), bits(want))
+    assert np.array_equal(bits(want), bits(reference_entropy_vector(floats, cfg)))
+    for row, value in zip(codes, want):
+        assert bits(entropy(row, cfg)) == bits(value)
+
+
+def test_a_coded_cell_peaks_below_its_float_corpus(tmp_path, counted_estimator):
+    import tracemalloc
+
+    from cnalab.config import ExperimentConfig
+    from cnalab.harness import run_training
+    cfg = ExperimentConfig.from_dict({
+        "dataset": {"name": "synthetic-digits", "train_size": 2000, "test_size": 500,
+                    "seed": 7},
+        "arch": {"name": "mlp", "hidden": [128, 128]},
+        "optimizer": {"kind": "adam", "lr": 0.001, "batch_size": 128},
+        "epochs": 1, "output_dir": str(tmp_path / "run")})
+    float_corpus = 2000 * 28 * 28 * 8        # 12.5 MB: the training inputs as float64
+    tracemalloc.start()
+    try:     # render, both entropy vectors, one epoch and one snapshot
+        run_training(cfg, log=lambda *_: None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(counted_estimator) == 2
+    assert peak < float_corpus
