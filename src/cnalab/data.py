@@ -17,9 +17,9 @@ multiset. Test labels are never corrupted.
 
 8-bit images (IDX files and the rendered corpora) are kept as one
 read-only uint8 array of codes: code k stands for the pixel k / 255, and
-decode() is the one place that division is made. Every engine function
-that takes inputs reads a uint8 array as codes and decodes only the rows
-it uses; any other array holds float64 pixels.
+decode() is the one place that division is made. Any engine function reads
+a uint8 array as codes, decoded by the layer walk (nn._walk) and the
+entropy estimator alone; any other array holds float64 pixels.
 """
 
 import functools

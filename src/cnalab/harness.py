@@ -1,12 +1,12 @@
 """Experiment orchestration: single training cells, suites, landscape
 and report emission. The CLI is a thin wrapper over these functions.
 
-Per-run output directory layout:
+Per-run output directory layout; a snapshot writes the last four in order:
     config.json               resolved config (provenance)
     record_epochNNNN.json     one RunRecord per snapshot
-    ckpt_epochNNNN.cnac       checkpoint per snapshot ("latest" deletes the older)
     curves.csv                entropy-binned test error per epoch (appended)
     trajectory.npz            states, steps, losses, probe_alphas (when recorded)
+    ckpt_epochNNNN.cnac       checkpoint per snapshot ("latest" deletes the older)
 Each file is written to <name>.tmp and renamed into place; curves.csv is
 written at start (with the resumed epochs' rows), then appended to.
 """
@@ -96,8 +96,8 @@ def _select_probe(n, probe_size, probe_seed):
 
 def run_training(cfg, log=print):
     """Run (or resume) one experiment cell, writing its run directory.
-    Identical (config, seeds) produce byte-identical RunRecord files
-    whether or not the run was interrupted."""
+    Identical (config, seeds) produce byte-identical files whether or not
+    the run was interrupted."""
     os.makedirs(cfg.output_dir, exist_ok=True)
     _write_json(os.path.join(cfg.output_dir, "config.json"), cfg.to_dict(), sort_keys=True)
 
@@ -125,7 +125,7 @@ def run_training(cfg, log=print):
     trajectory = on_batch = None
     if cfg.record_trajectory:
         probe_idx = _select_probe(len(test_ds), cfg.probe_size, cfg.probe_seed)
-        probe = test_ds.rows(probe_idx)
+        probe = test_ds.rows(probe_idx)     # decoded once, not in every on_batch forward
         saved, kept = _load_trajectory(cfg.output_dir)[0], start_epoch * batches_per_epoch
         trajectory = Trajectory([s for s in saved.samples if s.step < kept] if saved else [])
 
@@ -158,15 +158,14 @@ def run_training(cfg, log=print):
             write_record(record, record_path(cfg.output_dir, epoch))
             curve = binned_error_curves(flags[None], bins).curves[:, 0]
             append_csv(curves, ((epoch, b, float(v)) for b, v in enumerate(curve)))
+            if trajectory is not None:
+                _save_trajectory(cfg.output_dir, trajectory, test_alphas[probe_idx])
             ckpt = ckpt_path(cfg.output_dir, epoch)
             save_checkpoint(net, cfg.optimizer, opt_state, epoch, ckpt,
                             seeds={"init": cfg.init_seed, "shuffle": cfg.shuffle_seed})
             _keep_only(cfg, os.path.basename(ckpt))
             log(f"[train] {cfg.output_dir} epoch {epoch}: "
                 f"loss={train_loss:.4f} train_acc={train_acc:.4f} test_acc={test_acc:.4f}")
-
-    if trajectory is not None and trajectory.samples:
-        _save_trajectory(cfg.output_dir, trajectory, test_alphas[probe_idx])
 
 
 def _load_curves(path, up_to_epoch):

@@ -352,16 +352,18 @@ def gap_metric_set(net, train_ds, test_ds, cfg=EntropyConfig(), percentile=10.0,
                    train_pass=None, test_pass=None):
     """Compute the full metric set for one trained snapshot.
 
-    CNA uses the test inputs by default (gap prediction stays a priori
-    because labels are never used); CNA-Margin always uses the training
-    set. CNA values that are undefined (zero-variance alpha or beta) stay
-    None rather than being imputed. Normalized norm metrics stay None
-    when the percentile training margin is not positive.
+    CNA uses the inputs of cna_split, "test" (the default: gap prediction
+    stays a priori, as labels are never used) or "train", else DataError;
+    CNA-Margin always uses the training set. Undefined CNAs (zero-variance
+    alpha or beta) stay None rather than being imputed. Normalized norm
+    metrics stay None when the percentile training margin is not positive.
 
     Per-epoch callers pass the entropy vectors (constant over training)
     and the (z, logits) passes they scored accuracy on as train_alphas/
     test_alphas and train_pass/test_pass; each is computed when absent.
     """
+    if cna_split not in ("train", "test"):
+        raise DataError(f"cna_split must be \"train\" or \"test\", got {cna_split!r}")
     if train_alphas is None:
         train_alphas = entropy_vector(train_ds.pixels, cfg)
     if train_pass is None:
@@ -373,7 +375,7 @@ def gap_metric_set(net, train_ds, test_ds, cfg=EntropyConfig(), percentile=10.0,
         out.cna_margin = _margin_scaled(base, margins, percentile)
     if cna_split == "train":
         out.cna = base
-    elif cna_split == "test":
+    else:
         if test_alphas is None:
             test_alphas = entropy_vector(test_ds.pixels, cfg)
         if test_pass is None:

@@ -8,11 +8,11 @@ activation-slope metric. Recording never perturbs the computation.
 
 One shape rule (_shapes) gives each layer kind's output shape and the
 shapes of the parameters it owns; the Network constructor, build_network
-and config.build_arch all read it. One layer walk (_walk over
-_apply_layer), reading only net.params, serves forward, the forward half
-of loss_and_gradients, layer_preactivations and, on a copy of the network
-with squared parameters, metrics.path_norm. Backward, dense and conv2d
-layers share one gradient tail.
+and config.build_arch read it. One layer walk (_walk over _apply_layer),
+reading only net.params, serves forward, the forward half of
+loss_and_gradients, layer_preactivations and, with squared parameters,
+metrics.path_norm; it alone reads input batches, a uint8 one as 8-bit
+codes (data.decode). Dense and conv2d layers share one gradient tail.
 
 Depth map: the layers counted as depth 1..L are the parameterized hidden
 layers, in network order. The final parameterized layer (the one
@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import as_inputs, decode
 from .errors import DataError, NumericError, ShapeError
 from .rng import seeded_rng
 
@@ -242,9 +243,9 @@ def _apply_layer(net, idx, a):
 
 
 def _walk(net, batch):
-    """The layer walk: checks the batch against the network input, then
-    yields (layer index, output, backward cache) for every layer in order."""
-    a = np.asarray(batch, dtype=np.float64)
+    """The layer walk: reads the batch (uint8 codes decoded), checks it against
+    the network input, yields (layer index, output, backward cache) per layer."""
+    a = decode(as_inputs(batch))
     if a.ndim < 2:
         raise ShapeError("batch must have a leading datapoint dimension")
     if tuple(a.shape[1:]) != net.input_shape:

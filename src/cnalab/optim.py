@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import decode
 from .errors import DataError
 from .nn import check_finite, cross_entropy, forward, loss_and_gradients
 from .rng import seeded_rng
@@ -117,11 +116,10 @@ def train_epoch(net, train_ds, cfg, state, shuffle_seed, epoch, on_batch=None):
     if cfg.batch_size > n:
         raise DataError(f"batch size {cfg.batch_size} exceeds dataset size {n}")
     order = seeded_rng(shuffle_seed, "shuffle", counter=epoch).permutation(n)
-    loss_sum = 0.0
-    correct = 0
+    loss_sum, correct = 0.0, 0
     for step, batch_idx in enumerate(iter_batches(n, cfg.batch_size, order)):
         yb = train_ds.labels[batch_idx]
-        loss, grads, logits = loss_and_gradients(net, train_ds.rows(batch_idx), yb)
+        loss, grads, logits = loss_and_gradients(net, train_ds.pixels[batch_idx], yb)
         apply_update(net, grads, cfg, state)
         loss_sum += loss * len(batch_idx)
         correct += int(np.sum(np.argmax(logits, axis=1) == yb))
@@ -134,12 +132,12 @@ def train_epoch(net, train_ds, cfg, state, shuffle_seed, epoch, on_batch=None):
 def trace_over_dataset(net, inputs):
     """The batched evaluation pass: recorded (N, L) pre-activation aggregates
     and logits, in a fixed batch order so the result is batch-size independent.
-    Each batch is a row-slice view of inputs, never a copy; uint8 codes are
-    decoded one such slice at a time."""
+    Each batch is a row-slice view of inputs, never a copy, which the layer
+    walk decodes when it holds uint8 codes."""
     n = inputs.shape[0]
     if n == 0:
         raise DataError("cannot evaluate an empty dataset")
-    passes = [forward(net, decode(inputs[start:start + EVAL_BATCH]), record=True)
+    passes = [forward(net, inputs[start:start + EVAL_BATCH], record=True)
               for start in range(0, n, EVAL_BATCH)]
     return np.vstack([trace.z for _, trace in passes]), np.vstack([lg for lg, _ in passes])
 

@@ -989,9 +989,17 @@ def digests(out_dir):
             for name in sorted(os.listdir(out_dir)) if not name.endswith(".tmp")}
 
 
-@pytest.mark.parametrize("keep", ["all", "latest"])
+TRAJECTORY = {"record_trajectory": True, "probe_size": 16}
+
+
+@pytest.mark.parametrize("keep, extra, writes", [
+    pytest.param("all", {}, 11, id="all"),
+    pytest.param("latest", {}, 13, id="latest"),
+    pytest.param("all", TRAJECTORY, 14, id="all-trajectory"),
+    pytest.param("latest", TRAJECTORY, 16, id="latest-trajectory"),
+])
 def test_a_resumed_run_equals_an_uninterrupted_one_at_every_write_boundary(
-        tmp_path, monkeypatch, keep):
+        tmp_path, monkeypatch, keep, extra, writes):
     from cnalab import harness
     calls = {"n": 0, "fail_at": None}
 
@@ -1013,13 +1021,13 @@ def test_a_resumed_run_equals_an_uninterrupted_one_at_every_write_boundary(
         cfg_path, _ = toy_config(tmp_path / name, epochs=3, keep_checkpoints=keep,
                                  dataset=dataset, arch={"name": "mlp", "hidden": [16, 16]},
                                  optimizer={"kind": "adam", "lr": 0.001, "batch_size": 40},
-                                 output_dir="run")
+                                 output_dir="run", **extra)
         main(["train", "--config", str(cfg_path)])
         return tmp_path / name / "run"
 
     expected = digests(train("full"))
     n_writes, calls["n"] = calls["n"], 0
-    assert n_writes == {"all": 11, "latest": 13}[keep]
+    assert n_writes == writes
     for fail_at in range(1, n_writes + 1):
         calls.update(n=0, fail_at=fail_at)
         with pytest.raises(Crash):

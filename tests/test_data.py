@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnalab import data
-from cnalab.config import resolve_datasets
+from cnalab import data, nn
+from cnalab.analysis import record_state
+from cnalab.config import build_arch, resolve_datasets
 from cnalab.data import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, LabeledDataset,
                          corrupt_labels, gaussian_noise_dataset, load_idx, split,
                          synthetic_digits, synthetic_shapes, write_idx)
@@ -444,6 +445,37 @@ def test_idx_loads_the_files_bytes_as_codes(tmp_path):
     ds = load_idx(*make_idx_fixture(tmp_path, pixels, [0, 9, 4]))
     assert ds.pixels.shape == (3, 1, 4, 5)
     assert ds.pixels.tobytes() == pixels.tobytes()
+
+
+def engine_outputs(net, x, labels):
+    """{name: bytes} of every engine call that reads the input batch x."""
+    logits, trace = nn.forward(net, x, record=True)
+    loss, grads, step_logits = nn.loss_and_gradients(net, x, labels)
+    out = {"forward.logits": logits, "forward.z": trace.z, "loss": np.float64(loss),
+           "loss_and_gradients.logits": step_logits,
+           "record_state": record_state(net, x[:5], 3, 0.5).state}
+    out.update((f"loss_and_gradients.{idx}.{name}", g)
+               for idx, p in grads.items() for name, g in p.items())
+    out.update((f"backward.{idx}.{name}", g)
+               for idx, p in nn.backward(net, x, labels).items() for name, g in p.items())
+    out.update((f"layer_preactivations.{i}", a)
+               for i, a in enumerate(nn.layer_preactivations(net, x)))
+    return {name: arr.tobytes() for name, arr in out.items()}
+
+
+def test_engine_calls_read_codes_as_their_decode_bitwise(tmp_path, fresh_corpus_cache):
+    pixels = np.random.default_rng(9).integers(0, 256, size=(12, 9, 9), dtype=np.uint8)
+    idx_ds = load_idx(*make_idx_fixture(tmp_path, pixels, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 1]))
+    for ds, arch in ((synthetic_digits(64, seed=3), {"name": "mlp", "hidden": [32, 16]}),
+                     (idx_ds, {"name": "cnn", "channels": [4, 6], "kernel": 3, "stride": 1})):
+        assert ds.pixels.dtype == np.uint8
+        shape = ds.pixels.shape[1:]
+        net = nn.build_network(build_arch(arch, shape, ds.classes), 4, shape)
+        want = engine_outputs(net, ds.inputs, ds.labels)
+        assert engine_outputs(net, ds.pixels, ds.labels) == want, arch["name"]
+        # a float array is read as it is: raw 0-255 values are not pixels
+        raw = ds.pixels.astype(np.float64)
+        assert engine_outputs(net, raw, ds.labels)["forward.logits"] != want["forward.logits"]
 
 
 def test_rendered_corpus_round_trips_through_idx_byte_exactly(tmp_path, fresh_corpus_cache):

@@ -734,6 +734,14 @@ def test_gap_metric_set_on_an_empty_split_raises_data_error():
         gap_metric_set(net, empty, full)
 
 
+@pytest.mark.parametrize("split", ["Test", "TRAIN", "", "both", None])
+def test_gap_metric_set_names_a_cna_split_other_than_train_or_test(split):
+    net = scaling_linear_net()
+    ds = LabeledDataset(graded_dataset(), np.array([0, 1, 2, 3, 0, 1]), 4)
+    with pytest.raises(DataError, match=f"cna_split .*got {split!r}"):
+        metrics.gap_metric_set(net, ds, ds, cna_split=split)
+
+
 def test_cna_and_cna_margin_reject_fewer_than_two_datapoints():
     net = scaling_linear_net()
     for n in (0, 1):
