@@ -192,19 +192,25 @@ def _save_trajectory(out_dir, trajectory, probe_alphas):
 
 
 def _load_trajectory(out_dir):
-    """The Trajectory saved in out_dir and its probe entropies, or (None, None)."""
+    """The Trajectory saved in out_dir and its probe entropies, or (None, None):
+    integer steps and finite float states, losses and probe entropies."""
     path = os.path.join(out_dir, "trajectory.npz")
     if not os.path.exists(path):
         return None, None
     try:
         with np.load(path) as z:
-            states, steps, losses = z["states"], z["steps"], z["losses"]
+            states, steps, losses, alphas = (z[k] for k in ("states", "steps", "losses",
+                                                            "probe_alphas"))
             if states.ndim != 2 or not steps.shape == losses.shape == states.shape[:1]:
                 raise ValueError(f"shapes {states.shape}, {steps.shape}, {losses.shape} of "
                                  "states, steps, losses")
+            if steps.dtype.kind not in "iu" or not all(
+                    a.dtype.kind == "f" and np.isfinite(a).all() for a in (states, losses, alphas)):
+                raise ValueError("steps must be integers, and states, losses and "
+                                 "probe_alphas finite floats")
             samples = [TrajectorySample(step=int(step), state=state, loss=float(loss))
                        for step, state, loss in zip(steps, states, losses)]
-            return Trajectory(samples), z["probe_alphas"]
+            return Trajectory(samples), alphas
     except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise FormatError(f"{path}: not a trajectory archive ({exc})") from exc
 

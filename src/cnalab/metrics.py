@@ -14,8 +14,10 @@ net misclassifying its training data is pulled to zero.
 
 Alpha has one estimator, bitwise equal to np.histogram of each row; a
 non-finite input raises DataError. 8-bit codes (see data) give the
-entropies of their decode. Vectors of read-only corpora are memoised per
-process.
+entropies of their decode. A fixed range [0, 2^a] with 2^b bins (the
+default [0, 1] with 256) skips np.histogram's one-bin corrections, which
+cannot move an index when every edge and every scaled value >= 1 is exact.
+Vectors of read-only corpora are memoised per process.
 """
 
 import collections
@@ -123,7 +125,13 @@ def _bin_indices(values, cfg, first_row):
     equal-width arithmetic over a block of rows, the first of them first_row.
     That is clip (fixed range) or row min/max (per-datapoint), the truncated
     scaled offset, the one-bin corrections against the np.linspace edges, and
-    the closed last bin. A constant row does not vary and keeps entropy 0."""
+    the closed last bin. A constant row does not vary and keeps entropy 0.
+
+    A dyadic fixed range (lo == 0, hi and bins powers of two, bins / hi finite)
+    skips the corrections: each edge k * hi / bins is a power of two times an
+    integer, so exact; a clipped value scaled by bins / hi is exact when it is
+    at least 1, and below 1 it truncates to bin 0 under either formula. So the
+    truncated index already is the bin np.histogram's edge comparisons select."""
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise DataError(f"entropy input row {first_row + int(finite.argmin())} is not finite")
@@ -140,8 +148,12 @@ def _bin_indices(values, cfg, first_row):
     edges[..., -1:] = hi
     if (edges[..., :-1] >= edges[..., 1:]).any():   # np.histogram refuses these
         raise DataError(f"entropy range too narrow for {bins} bins")
-    idx = ((values - lo) / (hi - lo) * bins).astype(np.intp)
+    dyadic = cfg.lo == 0.0 and math.frexp(cfg.hi)[0] == math.frexp(bins)[0] == 0.5 \
+        and math.isfinite(bins / cfg.hi)
+    idx = (values * (bins / hi) if dyadic else (values - lo) / (hi - lo) * bins).astype(np.intp)
     np.minimum(idx, bins - 1, out=idx)              # the last bin is closed
+    if dyadic:                                      # no correction can move an index
+        return idx, vary
     # edges[k] = k * width + lo for every k < bins, the only edges compared here
     idx -= values < idx * width + lo
     idx += (values >= (idx + 1) * width + lo) & (idx != bins - 1)

@@ -134,6 +134,7 @@ def trace_over_dataset(net, inputs):
     and logits, in a fixed batch order so the result is batch-size independent.
     Each batch is a row-slice view of inputs, never a copy, which the layer
     walk decodes when it holds uint8 codes."""
+    inputs = np.asarray(inputs)
     n = inputs.shape[0]
     if n == 0:
         raise DataError("cannot evaluate an empty dataset")

@@ -9,6 +9,7 @@ float formatting, trailing newline.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .csvio import replacing
@@ -19,6 +20,11 @@ from .metrics import METRIC_NAMES
 _CORE_FIELDS = {"dataset": (str,), "arch": (str,), "corruption": (int, float), "epoch": (int,),
                 "train_acc": (int, float), "test_acc": (int, float), "gap": (int, float)}
 _METRIC_TYPES = {int, float, type(None)}    # a metric is a JSON number or null
+
+
+def _finite(value):
+    """False for the NaN and +-Infinity that json reads as floats."""
+    return type(value) is not float or math.isfinite(value)
 
 
 @dataclass
@@ -49,11 +55,13 @@ class RunRecord:
         if type(obj) is not dict:
             raise FormatError(f"{source}: not a JSON object")
         metrics = obj.get("metrics", {})
-        bad = [k for k, types in _CORE_FIELDS.items() if type(obj.get(k)) not in types]
-        if type(metrics) is not dict or {type(v) for v in metrics.values()} - _METRIC_TYPES:
+        bad = [k for k, types in _CORE_FIELDS.items()
+               if type(obj.get(k)) not in types or not _finite(obj[k])]
+        if type(metrics) is not dict or {type(v) for v in metrics.values()} - _METRIC_TYPES \
+                or not all(map(_finite, metrics.values())):
             bad.append("metrics")
         if bad:
-            raise FormatError(f"{source}: fields missing or of the wrong type: {bad}")
+            raise FormatError(f"{source}: fields missing, of the wrong type or not finite: {bad}")
         extra = {k: v for k, v in obj.items() if k not in _CORE_FIELDS and k != "metrics"}
         return RunRecord(**{k: types[-1](obj[k]) for k, types in _CORE_FIELDS.items()},
                          metrics=metrics, extra=extra)

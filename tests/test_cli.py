@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import pathlib
 import re
@@ -873,6 +874,8 @@ MALFORMED_RECORDS = {
     "not-utf-8": json.dumps(_GOOD_RECORD).encode().replace(b'"toy"', b'"t\xffy"'),
     "numeric-arch": json.dumps(_GOOD_RECORD | {"arch": 7}).encode(),
     "boolean-gap": json.dumps(_GOOD_RECORD | {"gap": True}).encode(),
+    "nan-gap": json.dumps(_GOOD_RECORD | {"gap": math.nan}).encode(),
+    "infinite-metric": json.dumps(_GOOD_RECORD | {"metrics": {"cna": -math.inf}}).encode(),
 }
 
 
@@ -886,7 +889,22 @@ def test_a_malformed_record_is_a_format_error_not_a_traceback(tmp_path, capsys, 
     assert err.startswith("data error:") and "record_epoch0009.json" in err
 
 
-@pytest.mark.parametrize("corruption", ["junk", "no-losses"])
+def _nan_state(a):
+    states = a["states"].copy()
+    states[1, 2] = np.nan
+    return dict(a, states=states)
+
+
+TRAJECTORY_CORRUPTIONS = {
+    "no-losses": lambda a: {k: v for k, v in a.items() if k != "losses"},
+    "nan-state": _nan_state,
+    "string-states": lambda a: dict(a, states=a["states"].astype(str)),
+    "infinite-loss": lambda a: dict(a, losses=np.append(a["losses"][:-1], np.inf)),
+    "fractional-steps": lambda a: dict(a, steps=a["steps"] + 0.5),
+}
+
+
+@pytest.mark.parametrize("corruption", ["junk", *TRAJECTORY_CORRUPTIONS])
 def test_a_corrupt_trajectory_is_a_format_error_not_a_traceback(tmp_path, capsys, corruption):
     cfg_path, cfg = toy_config(tmp_path, "traj", epochs=2, record_trajectory=True,
                                probe_size=16)
@@ -896,8 +914,8 @@ def test_a_corrupt_trajectory_is_a_format_error_not_a_traceback(tmp_path, capsys
         pathlib.Path(path).write_bytes(b"not an archive" * 10)
     else:
         with np.load(path) as z:
-            arrays = {k: z[k] for k in z.files if k != "losses"}
-        np.savez(path, **arrays)
+            arrays = {k: z[k] for k in z.files}
+        np.savez(path, **TRAJECTORY_CORRUPTIONS[corruption](arrays))
     capsys.readouterr()
     assert main(["landscape", "--run", cfg["output_dir"], "--resolution", "5"]) == 3
     err = capsys.readouterr().err

@@ -141,18 +141,27 @@ def bits(x):
     return np.asarray(x, dtype=np.float64).view(np.int64)
 
 
+SPECIALS = [-0.0, 5e-324, 2.0 ** -1050, 2.0 ** -1022 - 5e-324]    # -0.0 and subnormals
+
+
 @st.composite
 def entropy_cases(draw):
     """(inputs, cfg, block) with values on bin edges, one ulp either side
-    of them, on lo and hi, outside a fixed range, in constant rows and in
-    rows too narrow for the bin count."""
-    bins = draw(st.integers(2, 512))
-    if draw(st.booleans()):
-        cfg = EntropyConfig(bins=bins, lo=None, hi=None)
-    else:
+    of them, on lo and hi, outside a fixed range, at -0.0 and subnormals, in
+    constant rows and in rows too narrow for the bin count. A third of the
+    cases take a fixed range [0, hi]: mostly dyadic, [0, 2^a] with 2^b bins,
+    whose indices skip np.histogram's one-bin corrections, else one that
+    misses being dyadic by hi = 0.1 or 255 bins, which must not skip them."""
+    mode = draw(st.sampled_from(["per-datapoint", "fixed", "dyadic"]))
+    if mode == "per-datapoint":
+        cfg = EntropyConfig(bins=draw(st.integers(2, 512)), lo=None, hi=None)
+    elif mode == "fixed":
         lo = draw(st.floats(-100.0, 100.0))
         hi = lo + draw(st.sampled_from([1e-6, 0.01, 1.0, 3.0, 1000.0]))
-        cfg = EntropyConfig(bins=bins, lo=lo, hi=hi)
+        cfg = EntropyConfig(bins=draw(st.integers(2, 512)), lo=lo, hi=hi)
+    else:
+        cfg = EntropyConfig(bins=draw(st.sampled_from([2, 16, 256, 512, 255])), lo=0.0,
+                            hi=draw(st.sampled_from([2.0 ** -30, 0.5, 1.0, 4.0, 1024.0, 0.1])))
     n, m = draw(st.integers(0, 9)), draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     rows = []
@@ -167,9 +176,9 @@ def entropy_cases(draw):
         elif kind == "narrow":
             rows.append(lo + rng.integers(0, 4, size=m) * np.spacing(lo))
         else:
-            edges = np.linspace(lo, hi, bins + 1) if hi > lo else np.array([lo])
+            edges = np.linspace(lo, hi, cfg.bins + 1) if hi > lo else np.array([lo])
             pool = np.concatenate([edges, np.nextafter(edges, np.inf),
-                                   np.nextafter(edges, -np.inf), [lo, hi],
+                                   np.nextafter(edges, -np.inf), [lo, hi], SPECIALS,
                                    rng.uniform(lo, hi, size=8),
                                    rng.uniform(lo - 5.0, hi + 5.0, size=4)])
             rows.append(rng.choice(pool, size=m))
@@ -457,6 +466,17 @@ def test_cna_matches_naive_pipeline_oracle():
                 a = np.maximum(a, 0.0)
         betas.append(np.polyfit(np.arange(1, len(zs) + 1), zs, 1)[0])
     assert got == pytest.approx(direct_pearson(alphas, betas), abs=1e-12)
+
+
+def test_cna_of_a_nested_list_is_bitwise_that_of_its_array():
+    specs = [nn.dense(6, 5), nn.relu(), nn.dense(5, 4), nn.relu(), nn.dense(4, 3)]
+    net = nn.build_network(specs, 11, (6,))
+    inputs = np.random.default_rng(6).random((10, 6))
+    assert bits(cna(net, inputs.tolist())) == bits(cna(net, inputs))
+    z, logits = trace_over_dataset(net, inputs.tolist())
+    want_z, want_logits = trace_over_dataset(net, inputs)
+    assert np.array_equal(bits(z), bits(want_z))
+    assert np.array_equal(bits(logits), bits(want_logits))
 
 
 def test_cna_invariant_under_uniform_beta_scaling():
