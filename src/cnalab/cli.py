@@ -20,6 +20,7 @@ from dataclasses import replace
 
 from .checkpoint import load_checkpoint
 from .config import MetricOptions, load_config, read_json, resolve_datasets
+from .csvio import json_text
 from .errors import (ConfigError, ConvergenceError, DataError, FormatError,
                      NumericError, ShapeError, UndefinedCorrelationError)
 from .metrics import gap_metric_set
@@ -77,7 +78,7 @@ def cmd_metrics(args):
                           if given.get(k) is not None})
     metrics = gap_metric_set(net, train_ds, test_ds, opts.entropy,
                              opts.margin_percentile, opts.cna_split)
-    print(json.dumps(metrics.to_dict(), indent=2))
+    print(json_text(metrics.to_dict()), end="")
     return 0
 
 

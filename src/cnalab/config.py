@@ -217,14 +217,10 @@ def resolve_datasets(dataset_cfg):
                                    for key in ("seed", "train_size", "test_size"))
 
     if name in ("mnist", "fashion-mnist"):
-        train = data_mod.load_idx(_require_file(dataset_cfg.get("train_images"), "train images"),
-                                  _require_file(dataset_cfg.get("train_labels"), "train labels"))
-        test = data_mod.load_idx(_require_file(dataset_cfg.get("test_images"), "test images"),
-                                 _require_file(dataset_cfg.get("test_labels"), "test labels"))
-        if train_size:
-            train = train.subset(range(min(train_size, len(train))))
-        if test_size:
-            test = test.subset(range(min(test_size, len(test))))
+        paths = {key: _require_file(dataset_cfg.get(key), key.replace("_", " "))
+                 for key in ("train_images", "train_labels", "test_images", "test_labels")}
+        train = data_mod._idx_head(paths["train_images"], paths["train_labels"], train_size)
+        test = data_mod._idx_head(paths["test_images"], paths["test_labels"], test_size)
     elif name in data_mod._CORPORA:
         train = data_mod._synthetic(name, train_size or 4000, seed, stream=0)
         test = data_mod._synthetic(name, test_size or 1000, seed, stream=1)

@@ -1,5 +1,6 @@
 """Artifact writing (replacing: a temp file renamed into place, so no file
-is overwritten in place) and CSV emission and parsing with a schema header.
+is overwritten in place), JSON text that every reader accepts, and CSV
+emission and parsing with a schema header.
 
 Every CSV starts with "# schema=<name> v<version>" followed by a normal
 header row. Floats are written with repr so a round trip through the
@@ -8,10 +9,12 @@ undefined correlation values).
 """
 
 import csv
+import json
+import math
 import os
 from contextlib import contextmanager
 
-from .errors import FormatError
+from .errors import FormatError, NumericError
 
 SCHEMA_VERSION = 1
 
@@ -27,6 +30,28 @@ def replacing(path, mode="w"):
     with open(tmp, mode, **({} if "b" in mode else {"encoding": "utf-8", "newline": ""})) as fh:
         yield fh
     os.replace(tmp, path)
+
+
+def _nonfinite(obj, path=""):
+    """The key paths of the NaN and +-Infinity floats in obj."""
+    if isinstance(obj, float):
+        return [] if math.isfinite(obj) else [path]
+    if isinstance(obj, (list, tuple)):
+        obj = dict(enumerate(obj))
+    if not isinstance(obj, dict):
+        return []
+    return [bad for key, value in obj.items()
+            for bad in _nonfinite(value, f"{path}.{key}" if path else str(key))]
+
+
+def json_text(obj, sort_keys=False):
+    """obj as indented JSON and a newline. A NaN or +-Infinity, which json would
+    write and no reader here accepts, raises NumericError naming its field."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=sort_keys, allow_nan=False) + "\n"
+    except ValueError:      # json's only ValueError for the program's acyclic data
+        raise NumericError("not finite, so not written as JSON: "
+                           + ", ".join(_nonfinite(obj))) from None
 
 
 def write_csv(path, schema, columns, rows):

@@ -23,6 +23,7 @@ entropy estimator alone; any other array holds float64 pixels.
 """
 
 import functools
+import os
 import struct
 import weakref
 from dataclasses import dataclass, field
@@ -145,6 +146,29 @@ def load_idx(images_path, labels_path):
     classes = max(10, int(labels.max()) + 1) if n else 10
     return LabeledDataset(images.reshape(n, 1, h, w), labels.astype(np.int64), classes,
                           {"source": str(images_path)})
+
+
+# A suite's cells differ only in training labels, so each head of an IDX pair is
+# read once per process while neither file's size or mtime changes.
+@functools.lru_cache(maxsize=4)
+def _cached_idx_head(images, labels, size):
+    ds = load_idx(images[0], labels[0])
+    ds = ds.subset(range(min(size or len(ds), len(ds))))      # an owned copy, made read-only
+    ds.labels.flags.writeable = False
+    return ds
+
+
+def _idx_head(images_path, labels_path, size):
+    """The first size examples of an IDX pair (all of them for size 0), memoised
+    like the rendered corpora, with read-only arrays."""
+    stamps = [(str(path), st.st_size, st.st_mtime_ns)
+              for path in (images_path, labels_path) for st in [os.stat(path)]]
+    return _shared(_cached_idx_head(*stamps, int(size)))
+
+
+def _shared(ds):
+    """A dataset over the (read-only) arrays of ds, with its own provenance."""
+    return LabeledDataset(ds.pixels, ds.labels, ds.classes, dict(ds.provenance))
 
 
 def write_idx(ds, images_path, labels_path):
@@ -304,31 +328,37 @@ def _solve(a, lo, hi):
 
 
 def _strokes_ink(strokes, m, aa=0.02):
+    """_ink of strokes listing (image, warped segments, thickness)."""
+    image, segs, thickness = zip(*strokes)
+    counts = [len(s) for s in segs]
+    return _ink(np.repeat(image, counts), np.concatenate(segs), np.repeat(thickness, counts),
+                m, aa)
+
+
+def _ink(image, segs, thickness, m, aa=0.02):
     """Soft ink of m images: per pixel, the max over the image's segments of
     clip((thickness - distance to segment) / aa, 0, 1).
 
-    strokes lists (image, warped segments, thickness). Only pixels whose centre
-    can lie in a segment's capsule of radius R = thickness + 1e-7 are evaluated
-    (elsewhere the ink is exactly 0): per row, the hull of the row's sections of
-    the endpoint discs and of the band |d x (x - p)| <= R|d| cut by the slab
-    0 <= (x - p).d <= |d|^2. Kept pairs take the dense per-pixel operations in
-    the same order, so the result is bit-identical to evaluating every pixel.
+    segs is (S, 2, 2) warped segments; image and thickness give each its image
+    and thickness. Only pixels whose centre can lie in a segment's capsule of
+    radius R = thickness + 1e-7 are evaluated (elsewhere the ink is exactly 0):
+    per row, the hull of the row's sections of the endpoint discs and of the
+    band |d x (x - p)| <= R|d| cut by the slab 0 <= (x - p).d <= |d|^2. Kept
+    pairs take the dense per-pixel operations in the same order, so the result
+    is bit-identical to evaluating every pixel.
     """
-    image, segs, thickness = zip(*strokes)
-    counts = [len(s) for s in segs]
-    image, thickness = np.repeat(image, counts), np.repeat(thickness, counts)
-    segs = np.concatenate(segs)
-    p, q = segs[:, 0], segs[:, 1]
-    d = q - p
-    len2 = np.maximum(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1], 1e-12)
-    radius = thickness + 1e-7
-    seg, row = _pixel_spans(np.minimum(p[:, 1], q[:, 1]) - radius,
-                            np.maximum(p[:, 1], q[:, 1]) + radius)
-    r, y, (px, py), (qx, qy), (dx, dy) = radius[seg], _CENTRES[row], p[seg].T, q[seg].T, d[seg].T
+    (px, py), (qx, qy) = segs.transpose(1, 2, 0)
+    dx, dy, radius = qx - px, qy - py, thickness + 1e-7
+    # per segment, contiguous: rows 0-6 are gathered per pixel row, rows 3-8 per pixel
+    values = np.stack([qx, qy, radius, px, py, dx, dy,
+                       np.maximum(dx * dx + dy * dy, 1e-12), thickness])
+    seg, row = _pixel_spans(np.minimum(py, qy) - radius, np.maximum(py, qy) + radius)
+    y, (qx, qy, r, px, py, dx, dy) = _CENTRES[row], values[:7].take(seg, axis=1)
     with np.errstate(invalid="ignore"):                 # NaN where the row misses a disc
         hp, hq = np.sqrt(r * r - (y - py) ** 2), np.sqrt(r * r - (y - qy) ** 2)
     v, dd = y - py, dx * dx + dy * dy                   # band and slab in u = x - px
-    band_lo, band_hi = _solve(dy, dx * v - r * np.sqrt(dd), dx * v + r * np.sqrt(dd))
+    reach = r * np.sqrt(dd)
+    band_lo, band_hi = _solve(dy, dx * v - reach, dx * v + reach)
     slab_lo, slab_hi = _solve(dx, -dy * v, dd - dy * v)
     u_lo, u_hi = np.maximum(band_lo, slab_lo), np.minimum(band_hi, slab_hi)
     cut = (u_lo <= u_hi) & (dd > 0)
@@ -337,53 +367,81 @@ def _strokes_ink(strokes, m, aa=0.02):
         np.fmax(np.fmax(px + hp, qx + hq), np.where(cut, px + u_hi, -np.inf)))
     seg, row = seg[k], row[k]
     gx, gy = _CENTRES[col], _CENTRES[row]
-    px, py, dx, dy = p[seg, 0], p[seg, 1], d[seg, 0], d[seg, 1]
-    t = np.clip(((gx - px) * dx + (gy - py) * dy) / len2[seg], 0.0, 1.0)
+    px, py, dx, dy = values[3:7].take(seg, axis=1)
+    t = np.clip(((gx - px) * dx + (gy - py) * dy) / values[7].take(seg), 0.0, 1.0)
     ex = gx - (px + t * dx)
     ey = gy - (py + t * dy)
-    value = np.clip((thickness[seg] - np.sqrt(ex * ex + ey * ey)) / aa, 0.0, 1.0)
+    value = np.clip((values[8].take(seg) - np.sqrt(ex * ex + ey * ey)) / aa, 0.0, 1.0)
     ink = np.zeros((m, _SIZE * _SIZE))
     np.maximum.at(ink.reshape(-1), (image[seg] * _SIZE + row) * _SIZE + col, value)
     return ink
 
 
-# Images per _strokes_ink call: bounds its per-pair temporaries to about 2 MB.
-_CHUNK = 16
+# Images per chunk: bounds a chunk's float buffer, ink and per-pair arrays to about 3 MB.
+_CHUNK = 64
+
+
+def _glyph_table(glyphs):
+    """The glyphs as arrays. Per label: its draws per image (6, and one per stroke
+    whose thickness is drawn) and its segment count. Per segment, labels in
+    order: the segment less 0.5, its fixed thickness (0 where drawn), and the
+    index of its thickness among its image's draws (0 where fixed)."""
+    need, count, centred, fixed, slot = np.full(10, 6), np.zeros(10, int), [], [], []
+    for label in range(10):
+        for entry in glyphs[label]:
+            segs, thickness = entry if isinstance(entry, tuple) else (entry, None)
+            free = thickness is None
+            centred.append(segs - 0.5)
+            fixed += [0.0 if free else thickness] * len(segs)
+            slot += [need[label] if free else 0] * len(segs)
+            need[label] += free
+            count[label] += len(segs)
+    return need, count, np.concatenate(centred), np.array(fixed), np.array(slot)
+
+
+def _warps(hardness, rot, scale, shear):
+    """Each image's 2x2 warp from its uniform draws: its rotation times its shear
+    (one 2x2 BLAS product per image), times its scale."""
+    rot, ones, zeros = (-1 + 2 * rot) * 0.45 * hardness, np.ones(len(rot)), np.zeros(len(rot))
+    c, s = np.cos(rot), np.sin(rot)
+    shear = (-1 + 2 * shear) * 0.35 * hardness
+    return (np.stack([c, -s, s, c], 1).reshape(-1, 2, 2)
+            @ np.stack([ones, shear, zeros, ones], 1).reshape(-1, 2, 2)
+            * (1.0 + (-1 + 2 * scale) * 0.18 * hardness)[:, None, None])
 
 
 def _render_corpus(n, seed, stream, glyphs, default_thickness, source):
-    """n glyph images as 8-bit codes, each warped by one 2x2 matrix; a chunk of
-    images is drawn in float64 and rounded to codes. Each scalar uniform(lo, hi)
-    draw is written as numpy computes it, lo + (hi - lo) * random(): the same
-    values without Generator.uniform's per-call overhead."""
+    """n glyph images as 8-bit codes, each warped by one 2x2 matrix. Per image in
+    turn, one rng.random(6 + k) call draws hardness, rot, scale, shear, the shift
+    and the k free stroke thicknesses, then the noise is drawn in place. The rest
+    runs once per chunk on arrays, each image taking the IEEE operations of a
+    per-image loop: uniform(lo, hi) as lo + (hi - lo) * u, and batched matmuls
+    whose slices are that loop's 2x2 BLAS products. So the codes are that loop's."""
     rng = seeded_rng(seed, "data", counter=stream)
     labels = seeded_rng(seed, "labels", counter=stream).integers(0, 10, size=n)
+    need, count, centred, fixed, slot = _glyph_table(glyphs)
     codes = np.empty((n, 1, _SIZE, _SIZE), dtype=np.uint8)
     pixels = np.empty((_CHUNK, _SIZE * _SIZE))      # one chunk, in float64
-    sigma = np.empty(_CHUNK)
     for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        chunk = pixels[:stop - start]
-        strokes = []
-        for i in range(start, stop):
-            hardness = rng.random()           # drives both warp strength and noise
-            rot = (-1 + 2 * rng.random()) * 0.45 * hardness
-            scale = 1.0 + (-1 + 2 * rng.random()) * 0.18 * hardness
-            shear = (-1 + 2 * rng.random()) * 0.35 * hardness
-            shift = rng.uniform(-0.07, 0.07, size=2)
-            sigma[i - start] = 0.02 + 0.28 * hardness
-            c, s = np.cos(rot), np.sin(rot)
-            warp = (np.array([[c, -s], [s, c]]) @ np.array([[1.0, shear], [0.0, 1.0]]) * scale).T
-            for entry in glyphs[labels[i]]:
-                segs, thickness = entry if isinstance(entry, tuple) else (
-                    entry, default_thickness * (0.8 + (1.25 - 0.8) * rng.random()))
-                strokes.append((i - start, (segs - 0.5) @ warp + 0.5 + shift, thickness))
-            rng.standard_normal(out=chunk[i - start])   # the noise, drawn in place
-        chunk *= sigma[:stop - start, None]
-        chunk += _strokes_ink(strokes, stop - start)
+        label = labels[start:start + _CHUNK]
+        m, chunk, base = len(label), pixels[:len(label)], np.cumsum(need[label]) - need[label]
+        draws = np.empty(need[label].sum())         # each image's at base, need of them
+        for i, (a, k) in enumerate(zip(base.tolist(), need[label].tolist())):
+            rng.random(out=draws[a:a + k])
+            rng.standard_normal(out=chunk[i])       # the noise, drawn in place
+        warps = _warps(*(draws[base + j] for j in range(4)))
+        shift = -0.07 + (0.07 - -0.07) * draws[base[:, None] + [4, 5]]
+        owner = np.repeat(np.arange(m), count[label])
+        seg = np.arange(len(owner)) + np.repeat(np.cumsum(count)[label] - np.cumsum(count[label]),
+                                                count[label])
+        moved = np.matmul(centred[seg], warps[owner].transpose(0, 2, 1)) + 0.5 + shift[owner, None]
+        thickness = np.where(slot[seg] > 0, default_thickness * (
+            0.8 + (1.25 - 0.8) * draws[base[owner] + slot[seg]]), fixed[seg])
+        chunk *= (0.02 + 0.28 * draws[base])[:, None]     # sigma, from hardness
+        chunk += _ink(owner, moved, thickness, m)
         np.clip(chunk, 0.0, 1.0, out=chunk)
         chunk *= 255.0
-        codes.reshape(n, -1)[start:stop] = np.round(chunk, out=chunk)     # whole: exact
+        codes.reshape(n, -1)[start:start + m] = np.round(chunk, out=chunk)     # whole: exact
     return LabeledDataset(codes, labels, 10,
                           {"source": source, "seed": int(seed), "stream": int(stream)})
 
@@ -405,8 +463,7 @@ def _cached_corpus(source, n, seed, stream):
 def _synthetic(source, n, seed, stream):
     if n < 1:
         raise DataError(f"{source} needs n >= 1")
-    ds = _cached_corpus(source, int(n), int(seed), int(stream))
-    return LabeledDataset(ds.pixels, ds.labels, ds.classes, dict(ds.provenance))
+    return _shared(_cached_corpus(source, int(n), int(seed), int(stream)))
 
 
 def synthetic_digits(n, seed, stream=0):

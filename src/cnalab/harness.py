@@ -13,7 +13,6 @@ written at start (with the resumed epochs' rows), then appended to.
 
 import contextlib
 import glob
-import json
 import os
 import re
 import zipfile
@@ -27,7 +26,7 @@ from .analysis import (ALL_NETS, ReportCell, Trajectory, TrajectorySample,
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (ExperimentConfig, arch_id, as_type, build_arch, corruption_of,
                      resolve_datasets)
-from .csvio import append_csv, read_csv, replacing, write_csv
+from .csvio import append_csv, json_text, read_csv, replacing, write_csv
 from .errors import CnaLabError, ConfigError, DataError, FormatError
 from .metrics import entropy_vector, gap_metric_set
 from .nn import build_network
@@ -50,8 +49,9 @@ def ckpt_path(out_dir, epoch):
 
 
 def _write_json(path, obj, sort_keys=False):
+    text = json_text(obj, sort_keys)    # before the temp file: a NumericError leaves no file
     with replacing(path) as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n")
+        fh.write(text)
 
 
 def _checkpoints(out_dir):

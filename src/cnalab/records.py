@@ -5,14 +5,15 @@ stable field set is {dataset, arch, corruption, epoch, train_acc,
 test_acc, gap, metrics{...}}; extra fields (train_loss, test_loss, ...)
 ride along and unknown fields survive a read-modify-write round trip.
 Serialization is fully deterministic: fixed key order, json's repr-based
-float formatting, trailing newline.
+float formatting, trailing newline. A non-finite number, which from_json
+rejects, is a NumericError at writing instead.
 """
 
 import json
 import math
 from dataclasses import dataclass, field
 
-from .csvio import replacing
+from .csvio import json_text, replacing
 from .errors import FormatError
 from .metrics import METRIC_NAMES
 
@@ -43,7 +44,7 @@ class RunRecord:
         obj = {name: getattr(self, name) for name in _CORE_FIELDS}
         obj["metrics"] = dict.fromkeys(METRIC_NAMES) | self.metrics
         obj.update(self.extra)
-        return json.dumps(obj, indent=2) + "\n"
+        return json_text(obj)
 
     @staticmethod
     def from_json(text, source="RunRecord"):
@@ -68,8 +69,9 @@ class RunRecord:
 
 
 def write_record(record, path):
+    text = record.to_json()     # before the temp file: a NumericError leaves no file
     with replacing(path) as fh:
-        fh.write(record.to_json())
+        fh.write(text)
 
 
 def read_record(path):

@@ -343,6 +343,37 @@ def test_runrecord_preserves_unknown_fields(tmp_path):
         json.loads(pathlib.Path(p2).read_bytes())["custom"]
 
 
+def test_a_non_finite_number_is_a_numeric_error_and_leaves_no_file(tmp_path):
+    from cnalab.errors import NumericError
+    from cnalab.harness import _write_json
+    rec = RunRecord(dataset="d", arch="a", corruption=0.0, epoch=1, train_acc=0.9,
+                    test_acc=0.5, gap=0.4, metrics={"cna": 0.5, "spectral_product": math.inf})
+    with pytest.raises(NumericError, match=r"metrics\.spectral_product"):
+        write_record(rec, tmp_path / "record_epoch0001.json")
+    with pytest.raises(NumericError, match=r"cells\.1\.rho"):
+        _write_json(tmp_path / "report.json", {"cells": [{"rho": 0.1}, {"rho": math.nan}]})
+    assert os.listdir(tmp_path) == []
+
+
+def test_metrics_command_with_a_non_finite_metric_exits_4_printing_nothing(
+        tmp_path, capsys, monkeypatch):
+    from types import SimpleNamespace
+
+    from cnalab import cli, nn
+    from cnalab.checkpoint import save_checkpoint
+    from cnalab.optim import OptConfig, init_opt_state
+    net = nn.build_network([nn.flatten(), nn.dense(3072, 4), nn.relu(), nn.dense(4, 10)],
+                           0, (3, 32, 32))
+    ckpt = tmp_path / "ckpt.cnac"
+    save_checkpoint(net, OptConfig(), init_opt_state(net, OptConfig()), 1, ckpt)
+    monkeypatch.setattr(cli, "gap_metric_set", lambda *_: SimpleNamespace(
+        to_dict=lambda: {"cna": 0.5, "spectral_product": math.inf}))
+    spec = json.dumps({"name": "gaussian-noise", "train_size": 20, "test_size": 10, "seed": 1})
+    assert main(["metrics", "--checkpoint", str(ckpt), "--data", spec]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numeric failure:") and "spectral_product" in err
+
+
 def test_csv_round_trip(tmp_path):
     p = tmp_path / "t.csv"
     rows = [(1, 0.5, None), (2, float(np.pi), 0.25)]

@@ -1,7 +1,9 @@
 """Dataset loading, synthesis, corruption, and split tests."""
 
+import collections
 import gc
 import hashlib
+import os
 import struct
 import weakref
 
@@ -273,6 +275,19 @@ def test_synthetic_corpora_pixel_golden(source, n, seed, stream, inputs_sha, lab
     assert hashlib.sha256(ds.labels.tobytes()).hexdigest() == labels_sha
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 16, data._CHUNK])
+@pytest.mark.parametrize("source,n,seed,stream,inputs_sha,labels_sha",
+                         [golden for golden in GOLDEN_CORPORA if golden[1] == 100])
+def test_rendering_does_not_depend_on_the_chunk_size(monkeypatch, chunk, source, n, seed,
+                                                     stream, inputs_sha, labels_sha):
+    monkeypatch.setattr(data, "_CHUNK", chunk)
+    name = f"synthetic-{source}"
+    strokes, thickness = data._CORPORA[name]
+    ds = data._render_corpus(n, seed, stream, strokes(), thickness, name)
+    assert hashlib.sha256(ds.inputs.tobytes()).hexdigest() == inputs_sha
+    assert hashlib.sha256(ds.labels.tobytes()).hexdigest() == labels_sha
+
+
 def dense_ink(segments, thickness, aa=0.02):
     """Every pixel against every segment: the expression pixel culling skips."""
     grid = data._GRID[:, None, :]
@@ -498,3 +513,60 @@ def test_write_idx_refuses_what_a_byte_cannot_hold(tmp_path, pixel, label, messa
     ds = LabeledDataset(inputs, [0, label, 1], 301)
     with pytest.raises(DataError, match=message):
         write_idx(ds, tmp_path / "img.idx", tmp_path / "lab.idx")
+
+
+def idx_spec(tmp_path, n_train, n_test, seed=0):
+    """An mnist spec over fresh IDX files of n_train and n_test random images."""
+    rng, spec = np.random.default_rng(seed), {"name": "mnist"}
+    for part, n in (("train", n_train), ("test", n_test)):
+        paths = (tmp_path / f"{part}-images.idx", tmp_path / f"{part}-labels.idx")
+        write_idx(LabeledDataset(rng.integers(0, 256, size=(n, 1, 28, 28), dtype=np.uint8),
+                                 rng.integers(0, 10, size=n), 10), *paths)
+        spec[f"{part}_images"], spec[f"{part}_labels"] = map(str, paths)
+    return spec
+
+
+@pytest.fixture
+def counted_idx_reads(monkeypatch):
+    """An empty IDX cache and entropy memo; the lists of load_idx and estimator calls."""
+    from cnalab import metrics
+    data._cached_idx_head.cache_clear()
+    monkeypatch.setattr(metrics, "_MEMO", collections.OrderedDict())
+    loads, estimates, load, estimate = [], [], data.load_idx, metrics._entropies
+    monkeypatch.setattr(data, "load_idx", lambda *a: loads.append(a) or load(*a))
+    monkeypatch.setattr(metrics, "_entropies",
+                        lambda rows, cfg: estimates.append(rows.shape) or estimate(rows, cfg))
+    yield loads, estimates
+    data._cached_idx_head.cache_clear()
+
+
+def test_an_idx_suite_reads_each_file_pair_and_bins_each_split_once(tmp_path,
+                                                                    counted_idx_reads):
+    spec = dict(idx_spec(tmp_path, 60, 30), train_size=50, test_size=20)
+    suite = {"grid": {"datasets": [spec], "corruptions": [0.0, 0.1, 0.3, 0.5],
+                      "archs": [{"name": "mlp", "hidden": [4, 4]}]},
+             "optimizer": {"kind": "sgd", "lr": 0.01, "batch_size": 16},
+             "epochs": 1, "output_root": str(tmp_path / "suite")}
+    summary, _ = run_suite(suite, log=lambda *_: None)
+    assert summary["n_failed"] == 0 and len(summary["cells"]) == 4
+    loads, estimates = counted_idx_reads
+    assert len(loads) == 2 and sorted(estimates) == [(20, 784), (50, 784)]
+
+
+def test_a_rewritten_idx_file_is_read_again(tmp_path, counted_idx_reads):
+    spec = idx_spec(tmp_path, 12, 6)
+    first, _ = resolve_datasets(spec)
+    again, _ = resolve_datasets(spec)
+    assert len(counted_idx_reads[0]) == 2 and again.pixels is first.pixels
+    assert not first.pixels.flags.writeable and not first.labels.flags.writeable
+    idx_spec(tmp_path, 9, 4, seed=1)                # new sizes: new stamps
+    fresh, _ = resolve_datasets(spec)
+    assert len(counted_idx_reads[0]) == 4 and len(fresh) == 9
+    images = tmp_path / "train-images.idx"
+    stamp, raw = os.stat(images).st_mtime_ns, bytearray(images.read_bytes())
+    raw[-1] ^= 0xFF                                 # the same size, a later mtime
+    images.write_bytes(raw)
+    os.utime(images, ns=(stamp + 10**9, stamp + 10**9))
+    latest, _ = resolve_datasets(spec)
+    assert len(counted_idx_reads[0]) == 5
+    assert latest.pixels.tobytes() == fresh.pixels.tobytes()[:-1] + bytes([raw[-1]])
