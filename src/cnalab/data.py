@@ -25,7 +25,6 @@ entropy estimator alone; any other array holds float64 pixels.
 import functools
 import os
 import struct
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,29 +49,12 @@ def decode(x):
     return x / 255.0 if x.dtype == np.uint8 else x
 
 
-_DECODED = {}   # id(codes) -> weakref to their decode, dropped with the codes
-
-
-def _shared_decode(codes):
-    """decode(codes), read-only and one array while any caller holds it."""
-    ref = _DECODED.get(id(codes))
-    floats = ref() if ref is not None else None
-    if floats is None:
-        if ref is None:
-            weakref.finalize(codes, _DECODED.pop, id(codes), None)
-        floats = decode(codes)
-        floats.flags.writeable = False
-        _DECODED[id(codes)] = weakref.ref(floats)
-    return floats
-
-
 @dataclass
 class LabeledDataset:
     """Inputs, labels and provenance of one dataset. pixels holds the inputs
     as stored, float64 or read-only uint8 codes; the engine decodes only the
     rows it reads. inputs is the float64 array for callers: pixels itself, or
-    the codes' read-only decode, made on first read and shared by every
-    dataset over the same codes while a caller holds it."""
+    a fresh decode of the codes on each read."""
 
     pixels: np.ndarray   # (N, features) or (N, c, h, w): float64, or uint8 codes
     labels: np.ndarray   # (N,) int64 in [0, classes)
@@ -98,7 +80,7 @@ class LabeledDataset:
     @property
     def inputs(self):
         """The inputs as a float64 array (see the class docstring)."""
-        return _shared_decode(self.pixels) if self.pixels.dtype == np.uint8 else self.pixels
+        return decode(self.pixels)
 
     def rows(self, indices):
         """The float64 inputs at indices, decoding only those rows: bitwise inputs[indices]."""

@@ -55,9 +55,8 @@ def _write_json(path, obj, sort_keys=False):
 
 
 def _checkpoints(out_dir):
-    """Matches of the checkpoint names listed (not globbed) in out_dir: group 1
-    is the epoch of ckpt_epochNNNN.cnac, None for a legacy ckpt_latest.cnac."""
-    return [m for m in map(re.compile(r"ckpt_(?:epoch(\d+)|latest)\.cnac").fullmatch,
+    """Matches of the ckpt_epochNNNN.cnac names listed (not globbed) in out_dir."""
+    return [m for m in map(re.compile(r"ckpt_epoch(\d+)\.cnac").fullmatch,
                            os.listdir(out_dir)) if m]
 
 
@@ -71,21 +70,14 @@ def _keep_only(cfg, name):
 def _latest_checkpoint(out_dir):
     """(name, Checkpoint) of the newest checkpoint in out_dir that loads, or (None, None):
     ckpt_epochNNNN files newest first by the epoch in their name, skipping any that
-    fail to load or store another epoch; a legacy ckpt_latest.cnac only if newer."""
-    def load(path):
+    fail to load or store another epoch."""
+    for epoch, name in sorted(((int(m[1]), m[0]) for m in _checkpoints(out_dir)),
+                              reverse=True):
         with contextlib.suppress(CnaLabError):
-            return load_checkpoint(path)
-
-    legacy = os.path.join(out_dir, "ckpt_latest.cnac")
-    best = load(legacy) if os.path.exists(legacy) else None
-    named = ((int(m[1]), m[0]) for m in _checkpoints(out_dir) if m[1])
-    for epoch, name in sorted(named, reverse=True):
-        if best is not None and best.epoch > epoch:
-            break
-        ck = load(os.path.join(out_dir, name))
-        if ck is not None and ck.epoch == epoch:
-            return name, ck
-    return (None, None) if best is None else (os.path.basename(legacy), best)
+            ck = load_checkpoint(os.path.join(out_dir, name))
+            if ck.epoch == epoch:
+                return name, ck
+    return None, None
 
 
 def _select_probe(n, probe_size, probe_seed):
@@ -95,27 +87,32 @@ def _select_probe(n, probe_size, probe_seed):
 
 
 def run_training(cfg, log=print):
-    """Run (or resume) one experiment cell, writing its run directory.
-    Identical (config, seeds) produce byte-identical files whether or not
-    the run was interrupted."""
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    _write_json(os.path.join(cfg.output_dir, "config.json"), cfg.to_dict(), sort_keys=True)
-
+    """Run one experiment cell, or resume it from the newest checkpoint (one of
+    another network, optimizer or seeds is a ConfigError), writing its run directory.
+    Identical (config, seeds) give byte-identical files, interrupted or not."""
     train_ds, test_ds = resolve_datasets(cfg.dataset)
     opts = cfg.metrics
+    shape = train_ds.pixels.shape[1:]
+    specs = build_arch(cfg.arch, shape, train_ds.classes)
 
+    os.makedirs(cfg.output_dir, exist_ok=True)
     name, resumed = _latest_checkpoint(cfg.output_dir)
     if resumed is not None:
         net, opt_state, start_epoch = resumed.net, resumed.opt_state, resumed.epoch
+        if (net.specs, net.input_shape, net.aggregation, net.include_output, net.init_seed,
+                resumed.opt_config, resumed.seeds.get("shuffle")) != (
+                specs, shape, opts.aggregation, opts.include_output, cfg.init_seed,
+                cfg.optimizer, cfg.shuffle_seed):
+            raise ConfigError(f"{os.path.join(cfg.output_dir, name)}: a checkpoint of another "
+                              "network, optimizer or shuffle seed (see the run's config.json)")
         log(f"[train] resuming {cfg.output_dir} from epoch {start_epoch}")
         _keep_only(cfg, name)    # what a crash before the last prune left
     else:
-        specs = build_arch(cfg.arch, train_ds.pixels.shape[1:], train_ds.classes)
-        net = build_network(specs, cfg.init_seed, train_ds.pixels.shape[1:],
-                            aggregation=opts.aggregation,
+        net = build_network(specs, cfg.init_seed, shape, aggregation=opts.aggregation,
                             include_output=opts.include_output)
         opt_state = init_opt_state(net, cfg.optimizer)
         start_epoch = 0
+    _write_json(os.path.join(cfg.output_dir, "config.json"), cfg.to_dict(), sort_keys=True)
 
     train_alphas = entropy_vector(train_ds.pixels, opts.entropy)
     test_alphas = entropy_vector(test_ds.pixels, opts.entropy)
@@ -193,7 +190,7 @@ def _save_trajectory(out_dir, trajectory, probe_alphas):
 
 def _load_trajectory(out_dir):
     """The Trajectory saved in out_dir and its probe entropies, or (None, None):
-    integer steps and finite float states, losses and probe entropies."""
+    integer steps, finite float 2-D states, losses and 1-D probe entropies."""
     path = os.path.join(out_dir, "trajectory.npz")
     if not os.path.exists(path):
         return None, None
@@ -201,9 +198,10 @@ def _load_trajectory(out_dir):
         with np.load(path) as z:
             states, steps, losses, alphas = (z[k] for k in ("states", "steps", "losses",
                                                             "probe_alphas"))
-            if states.ndim != 2 or not steps.shape == losses.shape == states.shape[:1]:
-                raise ValueError(f"shapes {states.shape}, {steps.shape}, {losses.shape} of "
-                                 "states, steps, losses")
+            if states.ndim != 2 or alphas.ndim != 1 or \
+                    not steps.shape == losses.shape == states.shape[:1]:
+                raise ValueError(f"shapes {states.shape}, {steps.shape}, {losses.shape}, "
+                                 f"{alphas.shape} of states, steps, losses, probe_alphas")
             if steps.dtype.kind not in "iu" or not all(
                     a.dtype.kind == "f" and np.isfinite(a).all() for a in (states, losses, alphas)):
                 raise ValueError("steps must be integers, and states, losses and "

@@ -675,33 +675,39 @@ def test_stale_temp_checkpoint_is_ignored(tmp_path, capsys, latest_run):
     assert not os.path.exists(stale)
 
 
-def test_legacy_latest_checkpoint_resumes_then_is_removed(tmp_path, capsys, latest_run):
+def test_a_ckpt_latest_file_is_neither_resumed_nor_removed(tmp_path, capsys, latest_run):
     cfg_path, cfg = toy_config(tmp_path, "run", epochs=1, keep_checkpoints="latest")
     assert main(["train", "--config", str(cfg_path)]) == 0
-    os.rename(os.path.join(cfg["output_dir"], "ckpt_epoch0001.cnac"),
-              os.path.join(cfg["output_dir"], "ckpt_latest.cnac"))
+    legacy = pathlib.Path(cfg["output_dir"], "ckpt_latest.cnac")
+    os.rename(os.path.join(cfg["output_dir"], "ckpt_epoch0001.cnac"), legacy)
+    before = legacy.read_bytes()
     more_path, _ = toy_config(tmp_path, "run", epochs=3, keep_checkpoints="latest")
     capsys.readouterr()
     assert main(["train", "--config", str(more_path)]) == 0
-    assert "from epoch 1" in capsys.readouterr().out
-    assert run_files(cfg["output_dir"]) == latest_run
+    assert "resuming" not in capsys.readouterr().out
+    assert legacy.read_bytes() == before
+    files = run_files(cfg["output_dir"])
+    del files[legacy.name]
+    assert files == latest_run
 
 
-def test_a_legacy_latest_checkpoint_newer_than_every_named_one_is_resumed(tmp_path, capsys,
-                                                                         latest_run):
-    cfg_path, cfg = toy_config(tmp_path, "run", epochs=1, keep_checkpoints="latest")
+@pytest.mark.parametrize("first,then", [
+    ({"optimizer": {"kind": "sgd", "lr": 0.01, "batch_size": 32}},
+     {"optimizer": {"kind": "adam", "lr": 0.01, "batch_size": 32}}),
+    ({"arch": {"name": "mlp", "hidden": [8, 8]}}, {"arch": {"name": "mlp", "hidden": [16, 16]}}),
+], ids=["sgd-then-adam", "mlp-8x8-then-16x16"])
+def test_resuming_a_checkpoint_of_another_config_exits_2_and_changes_no_file(
+        tmp_path, capsys, first, then):
+    cfg_path, cfg = toy_config(tmp_path, "run", epochs=1, **first)
     assert main(["train", "--config", str(cfg_path)]) == 0
-    first = pathlib.Path(cfg["output_dir"], "ckpt_epoch0001.cnac").read_bytes()
-    assert main(["train", "--config", str(toy_config(tmp_path, "run", epochs=2,
-                                                     keep_checkpoints="latest")[0])]) == 0
-    os.rename(os.path.join(cfg["output_dir"], "ckpt_epoch0002.cnac"),
-              os.path.join(cfg["output_dir"], "ckpt_latest.cnac"))
-    pathlib.Path(cfg["output_dir"], "ckpt_epoch0001.cnac").write_bytes(first)
-    more_path, _ = toy_config(tmp_path, "run", epochs=3, keep_checkpoints="latest")
+    before = digests(cfg["output_dir"])
+    other_path, _ = toy_config(tmp_path, "run", epochs=2, **then)
     capsys.readouterr()
-    assert main(["train", "--config", str(more_path)]) == 0
-    assert "from epoch 2" in capsys.readouterr().out
-    assert run_files(cfg["output_dir"]) == latest_run
+    assert main(["train", "--config", str(other_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert os.path.join(cfg["output_dir"], "ckpt_epoch0001.cnac") in err
+    assert digests(cfg["output_dir"]) == before
 
 
 @pytest.mark.parametrize("old,new", [(b"\n1,0,", b"\n1x,0,"), (b"\n1,0,", b"\n1,0,\xff")],
@@ -932,6 +938,8 @@ TRAJECTORY_CORRUPTIONS = {
     "string-states": lambda a: dict(a, states=a["states"].astype(str)),
     "infinite-loss": lambda a: dict(a, losses=np.append(a["losses"][:-1], np.inf)),
     "fractional-steps": lambda a: dict(a, steps=a["steps"] + 0.5),
+    "scalar-probe-alphas": lambda a: dict(a, probe_alphas=a["probe_alphas"][0]),
+    "2-d-probe-alphas": lambda a: dict(a, probe_alphas=a["probe_alphas"][:, None]),
 }
 
 

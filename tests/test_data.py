@@ -352,13 +352,13 @@ def fresh_corpus_cache():
 
 def test_cached_corpus_is_read_only(fresh_corpus_cache):
     ds = synthetic_shapes(12, seed=4)
-    assert not ds.inputs.flags.writeable and not ds.labels.flags.writeable
+    assert not ds.pixels.flags.writeable and not ds.labels.flags.writeable
     with pytest.raises(ValueError):
-        ds.inputs[0] = 0.0
+        ds.pixels[0] = 0.0
     with pytest.raises(ValueError):
         ds.labels[0] = 0
     again = synthetic_shapes(12, seed=4)
-    assert again is not ds and again.inputs is ds.inputs
+    assert again is not ds and again.pixels is ds.pixels
 
 
 def test_corrupted_spec_leaves_cached_clean_corpus_intact(fresh_corpus_cache):
@@ -413,8 +413,8 @@ def test_corrupted_suite_cell_shares_cached_inputs(fresh_corpus_cache):
     clean, _ = resolve_datasets(clean_cell.dataset)
     labels_before = clean.labels.copy()
     corrupted, _ = resolve_datasets(corrupted_cell.dataset)
-    assert corrupted.inputs is clean.inputs
-    assert not corrupted.inputs.flags.writeable
+    assert corrupted.pixels is clean.pixels
+    assert not corrupted.pixels.flags.writeable
     assert not np.array_equal(corrupted.labels, clean.labels)
     assert np.array_equal(clean.labels, labels_before)
     assert np.array_equal(synthetic_shapes(40, seed=9).labels, labels_before)
