@@ -9,7 +9,7 @@ elsewhere) while being orders of magnitude smaller than recording every
 neuron.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,18 +23,6 @@ class TrajectorySample:
     step: int
     state: np.ndarray   # flattened (probe_N * L,)
     loss: float
-
-
-@dataclass
-class Trajectory:
-    """Ordered samples sharing one probe batch."""
-
-    samples: list = field(default_factory=list)
-
-    def append(self, sample):
-        if self.samples and sample.state.shape != self.samples[0].state.shape:
-            raise DataError("trajectory state dimension drifted between samples")
-        self.samples.append(sample)
 
 
 def record_state(net, probe, step, loss):

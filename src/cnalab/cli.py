@@ -7,8 +7,8 @@
     cnalab metrics --checkpoint F --data SPEC
 
 Exit codes: 0 ok, 2 config error (unreadable or non-object --config/--data
-JSON, a missing, mistyped or out-of-range field, or an output_dir checkpoint
-of another config), 3 data/format/shape or OS error, 4 numeric failure or undefined correlation.
+JSON, a missing, mistyped or out-of-range field, or an output_dir run of another
+config), 3 data/format/shape or OS error, 4 numeric failure or undefined correlation.
 metrics --data keys "aggregation"/"include_output" override the checkpoint's.
 """
 

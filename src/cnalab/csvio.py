@@ -62,12 +62,6 @@ def write_csv(path, schema, columns, rows):
         writer.writerows(map(_format, rows))
 
 
-def append_csv(path, rows):
-    """Append rows to the CSV at path, whose last row is complete."""
-    with open(path, "a", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(map(_format, rows))
-
-
 def read_csv(path):
     """Returns (schema_name, columns, rows-of-strings)."""
     try:

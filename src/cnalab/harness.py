@@ -4,15 +4,16 @@ and report emission. The CLI is a thin wrapper over these functions.
 Per-run output directory layout; a snapshot writes the last four in order:
     config.json               resolved config (provenance)
     record_epochNNNN.json     one RunRecord per snapshot
-    curves.csv                entropy-binned test error per epoch (appended)
+    curves.csv                entropy-binned test error of every snapshot so far
     trajectory.npz            states, steps, losses, probe_alphas (when recorded)
     ckpt_epochNNNN.cnac       checkpoint per snapshot ("latest" deletes the older)
-Each file is written to <name>.tmp and renamed into place; curves.csv is
-written at start (with the resumed epochs' rows), then appended to.
+Each file is written whole to <name>.tmp and renamed into place; a resumed
+run checks what it reads before it writes or deletes anything.
 """
 
 import contextlib
 import glob
+import json
 import os
 import re
 import zipfile
@@ -20,13 +21,13 @@ from dataclasses import asdict, astuple, fields
 
 import numpy as np
 
-from .analysis import (ALL_NETS, ReportCell, Trajectory, TrajectorySample,
+from .analysis import (ALL_NETS, ReportCell, TrajectorySample,
                        binned_error_curves, cna_landscape, complexity_bins,
                        gap_correlation_report, pca2, record_state)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (ExperimentConfig, arch_id, as_type, build_arch, corruption_of,
-                     resolve_datasets)
-from .csvio import append_csv, json_text, read_csv, replacing, write_csv
+                     read_json, resolve_datasets)
+from .csvio import json_text, read_csv, replacing, write_csv
 from .errors import CnaLabError, ConfigError, DataError, FormatError
 from .metrics import entropy_vector, gap_metric_set
 from .nn import build_network
@@ -38,14 +39,11 @@ from .svg import grouped_bars_svg, landscape_svg, scatter_svg
 CURVE_BINS = 5
 CURVE_COLUMNS = ("epoch", "bin", "mean_error")
 SUITE_EPOCHS = 10    # a suite cell's epochs when neither the suite nor its run sets them
+RERUN_FIELDS = {"epochs", "snapshot_interval", "keep_checkpoints", "output_dir"}  # may change
 
 
 def record_path(out_dir, epoch):
     return os.path.join(out_dir, f"record_epoch{epoch:04d}.json")
-
-
-def ckpt_path(out_dir, epoch):
-    return os.path.join(out_dir, f"ckpt_epoch{epoch:04d}.cnac")
 
 
 def _write_json(path, obj, sort_keys=False):
@@ -80,15 +78,18 @@ def _latest_checkpoint(out_dir):
     return None, None
 
 
-def _select_probe(n, probe_size, probe_seed):
-    """Sorted indices of the trajectory probe among n test points."""
-    return np.sort(seeded_rng(probe_seed, "probe").choice(n, size=min(probe_size, n),
-                                                          replace=False))
+def _check_same_run(cfg):
+    """ConfigError unless the run directory's config.json equals cfg but in RERUN_FIELDS."""
+    path = os.path.join(cfg.output_dir, "config.json")
+    old, new = read_json(path), json.loads(json_text(cfg.to_dict()))
+    changed = sorted({k for k in old.keys() | new.keys() if old.get(k) != new.get(k)} - RERUN_FIELDS)
+    if changed:
+        raise ConfigError(f"{path}: a run of another config ({', '.join(changed)} differ)")
 
 
 def run_training(cfg, log=print):
-    """Run one experiment cell, or resume it from the newest checkpoint (one of
-    another network, optimizer or seeds is a ConfigError), writing its run directory.
+    """Run one experiment cell, or resume it from the newest checkpoint (another config's
+    checkpoint or config.json is a ConfigError), writing its run directory.
     Identical (config, seeds) give byte-identical files, interrupted or not."""
     train_ds, test_ds = resolve_datasets(cfg.dataset)
     opts = cfg.metrics
@@ -105,33 +106,36 @@ def run_training(cfg, log=print):
                 cfg.optimizer, cfg.shuffle_seed):
             raise ConfigError(f"{os.path.join(cfg.output_dir, name)}: a checkpoint of another "
                               "network, optimizer or shuffle seed (see the run's config.json)")
+        _check_same_run(cfg)
         log(f"[train] resuming {cfg.output_dir} from epoch {start_epoch}")
-        _keep_only(cfg, name)    # what a crash before the last prune left
     else:
         net = build_network(specs, cfg.init_seed, shape, aggregation=opts.aggregation,
                             include_output=opts.include_output)
         opt_state = init_opt_state(net, cfg.optimizer)
         start_epoch = 0
+    curves = os.path.join(cfg.output_dir, "curves.csv")
+    rows = _load_curves(curves, start_epoch)
+    batches_per_epoch = -(-len(train_ds) // cfg.optimizer.batch_size)
+    samples = on_batch = None
+    if cfg.record_trajectory:
+        probe_idx = np.sort(seeded_rng(cfg.probe_seed, "probe").choice(
+            len(test_ds), size=min(cfg.probe_size, len(test_ds)), replace=False))
+        probe = test_ds.rows(probe_idx)     # decoded once, not in every on_batch forward
+        saved = start_epoch and _load_trajectory(cfg.output_dir, len(probe_idx) * net.n_layers)[0]
+        samples = [s for s in saved or () if s.step < start_epoch * batches_per_epoch]
+
+        def on_batch(step, loss):   # step counts within the loop's current epoch
+            step += (epoch - 1) * batches_per_epoch
+            samples.append(record_state(net, probe, step, loss))
+
+    if resumed is not None:
+        _keep_only(cfg, name)    # what a crash before the last prune left
     _write_json(os.path.join(cfg.output_dir, "config.json"), cfg.to_dict(), sort_keys=True)
+    write_csv(curves, "curves", CURVE_COLUMNS, rows)
 
     train_alphas = entropy_vector(train_ds.pixels, opts.entropy)
     test_alphas = entropy_vector(test_ds.pixels, opts.entropy)
     bins = complexity_bins(test_alphas, CURVE_BINS)
-
-    batches_per_epoch = -(-len(train_ds) // cfg.optimizer.batch_size)
-    trajectory = on_batch = None
-    if cfg.record_trajectory:
-        probe_idx = _select_probe(len(test_ds), cfg.probe_size, cfg.probe_seed)
-        probe = test_ds.rows(probe_idx)     # decoded once, not in every on_batch forward
-        saved, kept = _load_trajectory(cfg.output_dir)[0], start_epoch * batches_per_epoch
-        trajectory = Trajectory([s for s in saved.samples if s.step < kept] if saved else [])
-
-        def on_batch(step, loss):   # step counts within the loop's current epoch
-            step += (epoch - 1) * batches_per_epoch
-            trajectory.append(record_state(net, probe, step, loss))
-
-    curves = os.path.join(cfg.output_dir, "curves.csv")
-    write_csv(curves, "curves", CURVE_COLUMNS, _load_curves(curves, start_epoch))
 
     for epoch in range(start_epoch + 1, cfg.epochs + 1):
         train_loss, _ = train_epoch(net, train_ds, cfg.optimizer, opt_state,
@@ -154,10 +158,11 @@ def run_training(cfg, log=print):
                 extra={"train_loss": train_loss, "test_loss": test_loss})
             write_record(record, record_path(cfg.output_dir, epoch))
             curve = binned_error_curves(flags[None], bins).curves[:, 0]
-            append_csv(curves, ((epoch, b, float(v)) for b, v in enumerate(curve)))
-            if trajectory is not None:
-                _save_trajectory(cfg.output_dir, trajectory, test_alphas[probe_idx])
-            ckpt = ckpt_path(cfg.output_dir, epoch)
+            rows += [(epoch, b, float(v)) for b, v in enumerate(curve)]
+            write_csv(curves, "curves", CURVE_COLUMNS, rows)
+            if samples is not None:
+                _save_trajectory(cfg.output_dir, samples, test_alphas[probe_idx])
+            ckpt = os.path.join(cfg.output_dir, f"ckpt_epoch{epoch:04d}.cnac")
             save_checkpoint(net, cfg.optimizer, opt_state, epoch, ckpt,
                             seeds={"init": cfg.init_seed, "shuffle": cfg.shuffle_seed})
             _keep_only(cfg, os.path.basename(ckpt))
@@ -166,31 +171,38 @@ def run_training(cfg, log=print):
 
 
 def _load_curves(path, up_to_epoch):
-    """The rows of a curves-schema file up to up_to_epoch, each parsed or a FormatError;
-    later ones, appended before a crash (a torn line among them), are dropped."""
-    if not os.path.exists(path) or up_to_epoch == 0:
+    """The rows of curves.csv up to up_to_epoch as a run writes them (rising snapshot
+    epochs, the last up_to_epoch, each with bins 0..CURVE_BINS-1 in order and a mean error
+    in [0, 1]), or a FormatError; later ones, left by a crash before the checkpoint save, go."""
+    if up_to_epoch == 0:
         return []
     schema, columns, rows = read_csv(path)
-    if (schema, tuple(columns)) != ("curves", CURVE_COLUMNS):
-        raise FormatError(f"{path}: schema {schema!r}, columns {columns}; expected curves")
     try:
-        return [(int(r[0]), int(r[1]), float(r[2])) for r in rows
-                if len(r) == 3 and int(r[0]) <= up_to_epoch]
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad curves row ({exc})") from exc
+        if (schema, tuple(columns)) != ("curves", CURVE_COLUMNS):
+            raise ValueError(f"schema {schema!r}, columns {columns}; expected curves")
+        kept = [(int(e), int(b), float(v))
+                for e, b, v in (row for row in rows if int(row[0]) <= up_to_epoch)]
+        epochs = sorted({row[0] for row in kept if row[0] >= 1} | {up_to_epoch})
+        if [row[:2] for row in kept] != [(e, b) for e in epochs for b in range(CURVE_BINS)] \
+                or not all(0.0 <= row[2] <= 1.0 for row in kept):
+            raise ValueError(f"rows up to epoch {up_to_epoch} are not each snapshot epoch's "
+                             "bins once, with mean errors in [0, 1]")
+    except ValueError as exc:   # also a kept row of another length
+        raise FormatError(f"{path}: not a curves table ({exc})") from exc
+    return kept
 
 
-def _save_trajectory(out_dir, trajectory, probe_alphas):
+def _save_trajectory(out_dir, samples, probe_alphas):
     with replacing(os.path.join(out_dir, "trajectory.npz"), "wb") as fh:
-        np.savez(fh, states=np.stack([s.state for s in trajectory.samples]),
-                 steps=np.array([s.step for s in trajectory.samples]),
-                 losses=np.array([s.loss for s in trajectory.samples]),
+        np.savez(fh, states=np.stack([s.state for s in samples]),
+                 steps=np.array([s.step for s in samples]),
+                 losses=np.array([s.loss for s in samples]),
                  probe_alphas=probe_alphas)
 
 
-def _load_trajectory(out_dir):
-    """The Trajectory saved in out_dir and its probe entropies, or (None, None):
-    integer steps, finite float 2-D states, losses and 1-D probe entropies."""
+def _load_trajectory(out_dir, width=None):
+    """The TrajectorySamples saved in out_dir and their probe entropies, or (None, None):
+    integer steps, finite float 2-D states (width wide if given), losses and probe entropies."""
     path = os.path.join(out_dir, "trajectory.npz")
     if not os.path.exists(path):
         return None, None
@@ -206,9 +218,10 @@ def _load_trajectory(out_dir):
                     a.dtype.kind == "f" and np.isfinite(a).all() for a in (states, losses, alphas)):
                 raise ValueError("steps must be integers, and states, losses and "
                                  "probe_alphas finite floats")
-            samples = [TrajectorySample(step=int(step), state=state, loss=float(loss))
-                       for step, state, loss in zip(steps, states, losses)]
-            return Trajectory(samples), alphas
+            if width not in (None, states.shape[1]):
+                raise ValueError(f"states {states.shape[1]} wide, not {width} = probe size x layers")
+            return [TrajectorySample(step=int(step), state=state, loss=float(loss))
+                    for step, state, loss in zip(steps, states, losses)], alphas
     except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise FormatError(f"{path}: not a trajectory archive ({exc})") from exc
 
@@ -267,8 +280,8 @@ def run_suite(suite, jobs=1, log=print):
     on the RunRecords under output_root (skipped, and logged, when too few).
 
     Returns (summary dict, output_root). A cell is complete when its
-    final-epoch RunRecord exists. At most min(jobs, pending cells) workers
-    start; jobs below 1 is a ConfigError.
+    final-epoch RunRecord exists and _check_same_run accepts its config.
+    At most min(jobs, pending cells) workers start; jobs below 1 is a ConfigError.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
@@ -278,10 +291,11 @@ def run_suite(suite, jobs=1, log=print):
     pending, results = [], []
     for cfg in cells:
         if os.path.exists(record_path(cfg.output_dir, cfg.epochs)):
-            results.append((cfg.output_dir, "skipped", ""))
-            log(f"[suite] skip completed cell {cfg.output_dir}")
-        else:
-            pending.append(cfg)
+            with contextlib.suppress(ConfigError):   # a cell of another config runs, and fails
+                _check_same_run(cfg)
+                results.append((cfg.output_dir, "skipped", ""))    # logged with the rest
+                continue
+        pending.append(cfg)
     if jobs > 1 and len(pending) > 1:
         from concurrent.futures import ProcessPoolExecutor   # a slow import; parallel only
         from .cli import malloc_policy
@@ -311,11 +325,11 @@ def make_landscape(run_dir, resolution=41, out_dir=None, log=print):
     """PCA-project a recorded trajectory and evaluate the metric over the
     principal plane. Writes trajectory.csv, landscape.csv, landscape.svg."""
     out_dir = out_dir or run_dir
-    trajectory, probe_alphas = _load_trajectory(run_dir)
-    if trajectory is None:
+    samples, probe_alphas = _load_trajectory(run_dir)
+    if samples is None:
         raise DataError(f"{run_dir}: no trajectory.npz; train with \"record_trajectory\": true")
 
-    basis, path = pca2(trajectory.samples)
+    basis, path = pca2(samples)
     lo, hi = path.min(axis=0), path.max(axis=0)
     pad = 0.25 * np.where(hi > lo, hi - lo, 1.0)   # path bounding box expanded 25% per side
     grid = cna_landscape(basis, *zip(lo - pad, hi + pad), resolution, probe_alphas)
@@ -324,7 +338,7 @@ def make_landscape(run_dir, resolution=41, out_dir=None, log=print):
     write_csv(os.path.join(out_dir, "trajectory.csv"), "trajectory",
               ("step", "loss", "projected_x", "projected_y"),
               [(s.step, s.loss, float(x), float(y))
-               for s, (x, y) in zip(trajectory.samples, path)])
+               for s, (x, y) in zip(samples, path)])
     write_csv(os.path.join(out_dir, "landscape.csv"), "landscape",
               ("x", "y", "cna"),
               [(x, y, None if not np.isfinite(v) else v) for x, y, v in grid.cells()])

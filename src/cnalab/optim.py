@@ -131,9 +131,10 @@ def train_epoch(net, train_ds, cfg, state, shuffle_seed, epoch, on_batch=None):
 
 def trace_over_dataset(net, inputs):
     """The batched evaluation pass: recorded (N, L) pre-activation aggregates
-    and logits, in a fixed batch order so the result is batch-size independent.
-    Each batch is a row-slice view of inputs, never a copy, which the layer
-    walk decodes when it holds uint8 codes."""
+    and logits, forwarded in EVAL_BATCH-row slices in order. The fixed slicing
+    keeps the bytes (smaller slices can change the last bits), so no caller
+    sets another size. Each batch is a row-slice view of inputs, never a copy,
+    which the layer walk decodes when it holds uint8 codes."""
     inputs = np.asarray(inputs)
     n = inputs.shape[0]
     if n == 0:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cnalab import nn
-from cnalab.analysis import (ALL_NETS, Pca2Basis, Trajectory, TrajectorySample,
+from cnalab.analysis import (ALL_NETS, Pca2Basis, TrajectorySample,
                              binned_error_curves, cna_at_points, cna_landscape,
                              complexity_bins, gap_correlation_report, pca2, record_state)
 from cnalab.errors import DataError, UndefinedCorrelationError
@@ -43,13 +43,6 @@ def test_record_state_repeatable():
     a = record_state(net, probe, 0, 0.5)
     b = record_state(net, probe, 0, 0.5)
     assert a.state.tobytes() == b.state.tobytes()
-
-
-def test_trajectory_rejects_dimension_drift():
-    traj = Trajectory()
-    traj.append(TrajectorySample(0, np.zeros(8), 1.0))
-    with pytest.raises(DataError):
-        traj.append(TrajectorySample(1, np.zeros(6), 1.0))
 
 
 def test_pca2_planar_reconstruction_is_exact():

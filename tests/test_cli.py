@@ -579,7 +579,7 @@ def test_nonfinite_input_exits_3_before_training(tmp_path, monkeypatch, capsys):
     assert not [f for f in os.listdir(cfg["output_dir"]) if f.startswith(("record_", "ckpt_"))]
 
 
-# --- run-directory writes: temp file + rename, curves.csv appended ---------
+# --- run-directory writes: every file a temp file renamed into place -------
 
 def run_files(out_dir):
     """{name: bytes} of a run's records, curves and checkpoints."""
@@ -597,8 +597,8 @@ def latest_run(tmp_path):
 
 
 def forbid_overwrites(monkeypatch, run_dir):
-    """Make any open that would truncate or overwrite an existing file in
-    run_dir fail; appending stays allowed."""
+    """Make any open that would truncate, overwrite or append to an existing
+    file in run_dir fail."""
     real_open, real_os_open = open, os.open
 
     def check(path):
@@ -606,12 +606,12 @@ def forbid_overwrites(monkeypatch, run_dir):
             raise AssertionError(f"{path} overwritten in place")
 
     def guarded_open(file, mode="r", *args, **kwargs):
-        if not isinstance(file, int) and ("w" in mode or "+" in mode):
+        if not isinstance(file, int) and set(mode) & set("wa+"):
             check(file)
         return real_open(file, mode, *args, **kwargs)
 
     def guarded_os_open(path, flags, *args, **kwargs):
-        if flags & (os.O_WRONLY | os.O_RDWR) and not flags & os.O_APPEND:
+        if flags & (os.O_WRONLY | os.O_RDWR):
             check(path)
         return real_os_open(path, flags, *args, **kwargs)
 
@@ -653,7 +653,7 @@ def test_resume_after_crash_before_checkpoint_save(tmp_path, monkeypatch, latest
     monkeypatch.undo()
     curves = os.path.join(cfg["output_dir"], "curves.csv")
     raw = pathlib.Path(curves).read_bytes()
-    assert raw.count(b"\n3,") == 5    # epoch 3's rows were appended
+    assert raw.count(b"\n3,") == 5    # epoch 3's rows were written
     with open(curves, "r+b") as fh:
         fh.truncate(len(raw) - tear)
     assert main(["train", "--config", str(cfg_path)]) == 0
@@ -710,20 +710,79 @@ def test_resuming_a_checkpoint_of_another_config_exits_2_and_changes_no_file(
     assert digests(cfg["output_dir"]) == before
 
 
-@pytest.mark.parametrize("old,new", [(b"\n1,0,", b"\n1x,0,"), (b"\n1,0,", b"\n1,0,\xff")],
-                         ids=["epoch-1x", "not-utf8"])
-def test_a_corrupt_curves_file_is_a_format_error_on_resume(tmp_path, capsys, old, new):
+@pytest.mark.parametrize("first,then", [
+    ({}, {"dataset": {"name": "synthetic-digits", "train_size": 150, "test_size": 80,
+                      "seed": 7, "corruption": 0.3}}),
+    ({"record_trajectory": True, "probe_size": 16},
+     {"record_trajectory": True, "probe_size": 8}),
+], ids=["corruption-0-then-0.3", "probe-size-16-then-8"])
+def test_resuming_a_run_directory_of_another_config_exits_2_and_changes_no_file(
+        tmp_path, capsys, first, then):
+    cfg_path, cfg = toy_config(tmp_path, "run", epochs=1, **first)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    before = digests(cfg["output_dir"])
+    other_path, _ = toy_config(tmp_path, "run", epochs=2, **then)
+    capsys.readouterr()
+    assert main(["train", "--config", str(other_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert os.path.join(cfg["output_dir"], "config.json") in err
+    assert digests(cfg["output_dir"]) == before
+
+
+@pytest.mark.parametrize("change", ["lr", "dataset-seed"])
+def test_a_suite_rerun_of_another_config_fails_its_cells_and_changes_no_cell_file(
+        tmp_path, change):
+    path, suite = suite_config(tmp_path)
+    suite["grid"]["corruptions"] = [0.0]
+    path.write_text(json.dumps(suite))
+    assert main(["suite", "--config", str(path)]) == 0
+    root = suite["output_root"]
+    cells = sorted(os.path.join(root, d) for d in os.listdir(root)
+                   if os.path.isdir(os.path.join(root, d)))
+    before = {cell: digests(cell) for cell in cells}
+    if change == "lr":
+        suite["optimizer"]["lr"] = 0.005
+    else:
+        suite["grid"]["datasets"][0]["seed"] = 4
+        suite["extra_runs"][0]["dataset"]["seed"] = 6
+    path.write_text(json.dumps(suite))
+    assert main(["suite", "--config", str(path)]) == 0
+    summary = json.loads(pathlib.Path(root, "suite_summary.json").read_bytes())
+    assert len(cells) == 2 and [c["status"] for c in summary["cells"]] == ["failed"] * 2
+    assert all(c["error"].startswith("ConfigError") for c in summary["cells"])
+    assert {cell: digests(cell) for cell in cells} == before
+
+
+CURVES_EDITS = {      # each maps the data rows (epochs 1 and 2, bins 0-4) to corrupt ones
+    "epoch-1x": lambda rows: [b"1x" + rows[0][1:], *rows[1:]],
+    "not-utf8": lambda rows: [rows[0][:4] + b"\xff" + rows[0][4:], *rows[1:]],
+    "nan": lambda rows: [b"1,0,nan", *rows[1:]],
+    "inf": lambda rows: [b"1,0,inf", *rows[1:]],
+    "1.5": lambda rows: [b"1,0,1.5", *rows[1:]],
+    "missing-row": lambda rows: rows[1:],
+    "duplicated-row": lambda rows: rows[:1] + rows,
+    "bin-5": lambda rows: [*rows, b"1,5,0.5"],
+    "no-resumed-epoch-rows": lambda rows: rows[:5],
+}
+
+
+@pytest.mark.parametrize("edit", CURVES_EDITS.values(), ids=CURVES_EDITS.keys())
+def test_a_corrupt_curves_file_is_a_format_error_on_resume(tmp_path, capsys, edit):
     cfg_path, cfg = toy_config(tmp_path, "run", epochs=2)
     assert main(["train", "--config", str(cfg_path)]) == 0
     curves = pathlib.Path(cfg["output_dir"], "curves.csv")
-    raw = curves.read_bytes()
-    assert raw.count(old) == 1          # the first data row
-    curves.write_bytes(raw.replace(old, new))
+    head, columns, body = curves.read_bytes().partition(b"mean_error\r\n")
+    rows = body.split(b"\r\n")[:-1]
+    assert [row[:4] for row in rows[::5]] == [b"1,0,", b"2,0,"]
+    curves.write_bytes(head + columns + b"".join(row + b"\r\n" for row in edit(rows)))
+    before = digests(cfg["output_dir"])
     more_path, _ = toy_config(tmp_path, "run", epochs=3)
     capsys.readouterr()
     assert main(["train", "--config", str(more_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error:") and str(curves) in err
+    assert digests(cfg["output_dir"]) == before
 
 
 def test_resume_from_an_older_checkpoint_keeps_each_trajectory_step_once(tmp_path):
@@ -985,6 +1044,25 @@ def test_trajectory_arrays_that_disagree_in_shape_are_a_format_error(tmp_path, c
     assert not os.path.exists(os.path.join(cfg["output_dir"], "trajectory.csv"))
 
 
+def test_a_trajectory_of_another_state_width_is_a_format_error_on_resume(tmp_path, capsys):
+    cfg_path, cfg = toy_config(tmp_path, "traj", epochs=2, record_trajectory=True,
+                               probe_size=16)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    path = os.path.join(cfg["output_dir"], "trajectory.npz")
+    with np.load(path) as z:
+        arrays = dict(z)
+    assert arrays["states"].shape[1] == 32           # 16 probe points x 2 layers
+    np.savez(path, **dict(arrays, states=arrays["states"][:, :24]))
+    before = digests(cfg["output_dir"])
+    more_path, _ = toy_config(tmp_path, "traj", epochs=3, record_trajectory=True,
+                              probe_size=16)
+    capsys.readouterr()
+    assert main(["train", "--config", str(more_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and path in err
+    assert digests(cfg["output_dir"]) == before
+
+
 def test_main_sets_the_malloc_policy_before_dispatching(monkeypatch):
     import ctypes
     import types
@@ -1057,7 +1135,6 @@ TRAJECTORY = {"record_trajectory": True, "probe_size": 16}
 ])
 def test_a_resumed_run_equals_an_uninterrupted_one_at_every_write_boundary(
         tmp_path, monkeypatch, keep, extra, writes):
-    from cnalab import harness
     calls = {"n": 0, "fail_at": None}
 
     def counted(real):
@@ -1068,7 +1145,7 @@ def test_a_resumed_run_equals_an_uninterrupted_one_at_every_write_boundary(
             return real(*args, **kwargs)
         return call
 
-    for module, name in ((os, "replace"), (os, "unlink"), (harness, "append_csv")):
+    for module, name in ((os, "replace"), (os, "unlink")):
         monkeypatch.setattr(module, name, counted(getattr(module, name)))
     dataset = {"name": "synthetic-digits", "train_size": 120, "test_size": 60, "seed": 7}
 
